@@ -75,7 +75,6 @@ from .policy import (
     TIMESTAMP_ATTRIBUTE,
     parse_policy,
     satisfies,
-    serialize_policy,
 )
 
 __version__ = "0.1.0"

@@ -47,6 +47,7 @@ from .policy import (
     Or,
     TIMESTAMP_ATTRIBUTE,
     compare_values,
+    leaf_count,
     parse_policy,
     satisfies,
 )
@@ -76,6 +77,14 @@ def draw_entropy(rng: Rng, n: int) -> bytes:
 # Key objects
 # ---------------------------------------------------------------------------
 
+def _unpack_master_key(data: bytes, kind: int) -> tuple[int, int, bytes]:
+    """(backend_id, k_bits, material) of a master key container."""
+    backend_id, (k_bits, material) = unpack_container(data, kind, 2)
+    if len(k_bits) != 2:
+        raise MalformedCiphertext("security parameter field has wrong width")
+    return backend_id, int.from_bytes(k_bits, "big"), material
+
+
 @dataclass(frozen=True)
 class MasterPublicKey:
     backend_id: int
@@ -88,9 +97,7 @@ class MasterPublicKey:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MasterPublicKey":
-        _, backend_id, sections = unpack_container(data, containers.KIND_MPK)
-        (k_bits,) = struct.unpack(">H", sections[0])
-        return cls(backend_id=backend_id, k_bits=k_bits, material=sections[1])
+        return cls(*_unpack_master_key(data, containers.KIND_MPK))
 
 
 @dataclass(frozen=True)
@@ -105,9 +112,7 @@ class MasterSecretKey:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MasterSecretKey":
-        _, backend_id, sections = unpack_container(data, containers.KIND_MSK)
-        (k_bits,) = struct.unpack(">H", sections[0])
-        return cls(backend_id=backend_id, k_bits=k_bits, material=sections[1])
+        return cls(*_unpack_master_key(data, containers.KIND_MSK))
 
 
 @dataclass(frozen=True)
@@ -130,10 +135,13 @@ class UserSecretKey:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "UserSecretKey":
-        _, backend_id, sections = unpack_container(data, containers.KIND_USK)
-        return cls(backend_id=backend_id, key_id=sections[0],
-                   attrs=AttributeSet.from_json(sections[1].decode("utf-8")),
-                   material=sections[2])
+        backend_id, (key_id, attrs_json, material) = unpack_container(
+            data, containers.KIND_USK, 3)
+        try:
+            attrs = AttributeSet.from_json(attrs_json.decode("utf-8"))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise MalformedCiphertext(f"unreadable key attributes: {exc}") from exc
+        return cls(backend_id=backend_id, key_id=key_id, attrs=attrs, material=material)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +274,7 @@ class DevKeyedHashBackend(AbeBackend):
             offset = leaf_start
             for child in node.children:
                 self._wrap_shares(child, secret, offset, depth + 1, u, wrap_root, salt, out)
-                offset += _leaves(child)
+                offset += leaf_count(child)
             return
         # AND: n-1 pseudorandom shares, last one closes the XOR to the secret.
         acc = secret
@@ -278,7 +286,7 @@ class DevKeyedHashBackend(AbeBackend):
             else:
                 share = acc
             self._wrap_shares(child, share, offset, depth + 1, u, wrap_root, salt, out)
-            offset += _leaves(child)
+            offset += leaf_count(child)
 
     def _recover_secret(self, node: Node, leaf_start: int, attrs: AttributeSet,
                         leaf_keys: dict[str, bytes], wrap_root: bytes, salt: bytes,
@@ -302,7 +310,7 @@ class DevKeyedHashBackend(AbeBackend):
                                                  wrap_root, salt, shares)
                 if recovered is not None:
                     return recovered
-                offset += _leaves(child)
+                offset += leaf_count(child)
             return None
         acc = bytes(SHARE_BYTES)
         offset = leaf_start
@@ -312,7 +320,7 @@ class DevKeyedHashBackend(AbeBackend):
             if recovered is None:
                 return None
             acc = xor_bytes(acc, recovered)
-            offset += _leaves(child)
+            offset += leaf_count(child)
         return acc
 
     # -- encrypt / decrypt --------------------------------------------------
@@ -375,12 +383,6 @@ class DevKeyedHashBackend(AbeBackend):
             raise MalformedCiphertext("ciphertext failed authentication") from None
 
 
-def _leaves(node: Node) -> int:
-    if isinstance(node, (Leaf, Cmp)):
-        return 1
-    return sum(_leaves(child) for child in node.children)
-
-
 register_backend(DevKeyedHashBackend())
 
 
@@ -420,4 +422,8 @@ def extract_header(ct: AbeCiphertext) -> bytes:
 
 def extract_policy(header: bytes) -> AccessPolicy:
     """Parse the access policy out of header bytes."""
-    return containers.header_policy(header)
+    _, policy_text, _, _ = parse_header(header)
+    try:
+        return parse_policy(policy_text)
+    except Exception as exc:
+        raise MalformedCiphertext(f"header carries unparseable policy: {exc}") from exc

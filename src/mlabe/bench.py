@@ -22,18 +22,20 @@ from __future__ import annotations
 
 import csv
 import gc
-import hashlib
 import io
 import json
 import platform
+import random
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .abe import DEV_BACKEND_ID, abe_encrypt, get_backend, setup
 from .containers import LayeredAbeCiphertext
 from .errors import ConfigError
+from .hashing import counter_rng
 from .hybrid import encapsulation_randomness, hybrid_encrypt
 from .multilayer import add_layers
 from .policy import AccessPolicy, And, Leaf
@@ -88,19 +90,6 @@ def _conjunction(first: int, count: int) -> AccessPolicy:
     return AccessPolicy(leaves[0] if count == 1 else And(leaves))
 
 
-def _counter_rng(seed: str):
-    state = {"n": 0}
-
-    def rng(n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            out += hashlib.sha256(f"{seed}:{state['n']}".encode()).digest()
-            state["n"] += 1
-        return bytes(out[:n])
-
-    return rng
-
-
 def _metadata(bench: str, config: BenchConfig) -> dict:
     backend = get_backend(DEV_BACKEND_ID)
     return {
@@ -121,26 +110,44 @@ def collect_encrypt_samples(config: BenchConfig) -> dict[int, dict[str, list[flo
 
     Profiles are NOT applied here; aggregation does that, so one
     collection can be re-aggregated under several emulation settings.
-    The cyclic GC is paused while timing so collection pauses do not land
-    inside measurement windows.
+    Points are interleaved so that host drift is shared by all of them
+    rather than landing on whole points: each repetition runs every point
+    once, in a seeded shuffled order, and runs each timed phase for all
+    points back to back before the next phase. A shared host switches
+    between fast and slow states within milliseconds, so timing one
+    phase of all points within one short window keeps their sample
+    distributions alike. The cyclic GC is paused while timing and runs
+    between repetitions, so collection pauses do not land inside
+    measurement windows.
     """
-    rng = _counter_rng("bench-master")
-    pair = setup(256, rng)
-    per_layer = config.attrs_per_layer
-    samples: dict[int, dict[str, list[float]]] = {}
+    pair = setup(256, counter_rng("bench-master"))
+    points = {k * config.attrs_per_layer: _point(config, pair, k)
+              for k in config.layer_counts}
+    order = list(points.values())
+    shuffler = random.Random("bench-order")
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for k in config.layer_counts:
-            samples[k * per_layer] = _collect_point(config, pair, k)
+        for rep in range(config.warmup + config.repetitions):
+            shuffler.shuffle(order)
+            steps = [step(rep >= config.warmup) for _, step in order]
+            for _ in range(_PHASES):
+                for phase in steps:
+                    next(phase, None)
             gc.collect()
     finally:
         if gc_was_enabled:
             gc.enable()
-    return samples
+    return {attrs: point for attrs, (point, _) in points.items()}
 
 
-def _collect_point(config: BenchConfig, pair, k: int) -> dict[str, list[float]]:
+_PHASES = 4  # do_only, engine_only, combined_do, combined_engine
+
+
+def _point(config: BenchConfig, pair, k: int):
+    """The sample lists of the point with k layers, and a step that runs
+    one repetition of it, pausing after each timed phase, and records the
+    durations when told to."""
     per_layer = config.attrs_per_layer
     full_policy = _conjunction(1, k * per_layer)
     first_policy = _conjunction(1, per_layer)
@@ -148,14 +155,13 @@ def _collect_point(config: BenchConfig, pair, k: int) -> dict[str, list[float]]:
                       for j in range(1, k)]
     point: dict[str, list[float]] = {"do_only": [], "engine_only": [],
                                      "combined_do": [], "combined_engine": []}
-    draw = _counter_rng(f"bench-point-{k}")
+    draw = counter_rng(f"bench-point-{k}")
 
     # engine_only wraps a fixed producer base in one wide layer
     base_for_engine = hybrid_encrypt(pair.mpk, first_policy,
                                      b"engine-base", draw).ct_abe
 
-    for rep in range(config.warmup + config.repetitions):
-        record = rep >= config.warmup
+    def step(record: bool) -> Iterator[None]:
         sym_key, r = draw(32), draw(32)
 
         start = time.perf_counter()
@@ -164,12 +170,14 @@ def _collect_point(config: BenchConfig, pair, k: int) -> dict[str, list[float]]:
         elapsed = time.perf_counter() - start
         if record:
             point["do_only"].append(elapsed)
+        yield
 
         start = time.perf_counter()
         add_layers(pair.mpk, base_for_engine, [full_policy])
         elapsed = time.perf_counter() - start
         if record:
             point["engine_only"].append(elapsed)
+        yield
 
         # untimed run of the same op first: the preceding engine work grows
         # with k and would otherwise cool the caches under this measurement
@@ -182,6 +190,7 @@ def _collect_point(config: BenchConfig, pair, k: int) -> dict[str, list[float]]:
         elapsed = time.perf_counter() - start
         if record:
             point["combined_do"].append(elapsed)
+        yield
 
         if extra_policies:
             layered = LayeredAbeCiphertext(body=base.to_bytes())
@@ -193,7 +202,7 @@ def _collect_point(config: BenchConfig, pair, k: int) -> dict[str, list[float]]:
         if record:
             point["combined_engine"].append(elapsed)
 
-    return point
+    return point, step
 
 
 def _trim(values: list[float]) -> list[float]:
@@ -259,9 +268,9 @@ def run_size_bench(config: BenchConfig) -> tuple[dict, list[dict]]:
     ``n_layers_total`` counts every encryption layer including the
     producer's base layer, matching how the reported series count layers.
     """
-    rng = _counter_rng("bench-size")
+    rng = counter_rng("bench-size")
     pair = setup(256, rng)
-    payload = _counter_rng("bench-payload")(config.payload_size)
+    payload = counter_rng("bench-payload")(config.payload_size)
     per_layer = config.attrs_per_layer
     rows = []
     for k in config.layer_counts:
@@ -297,38 +306,3 @@ def write_csv(meta: dict, rows: list[dict], columns: list[str],
         Path(out).write_text(text, "utf-8")
     return text
 
-
-# ---------------------------------------------------------------------------
-# Concurrency exercise (no timing claims)
-# ---------------------------------------------------------------------------
-
-def run_parallel_exercise(workers: int, requests_per_worker: int,
-                          data_dir: Path, passphrase: str) -> dict:
-    """Drive the services' concurrent paths: parallel publishes and
-    time-gated fetches against a served deployment."""
-    import concurrent.futures
-
-    from .exchange.services import Consumer, DataOwner, Deployment
-    from .policy import parse_policy
-
-    deployment = Deployment(data_dir, passphrase,
-                            allowlist={"bench-consumer": ["Att1", "Att2", "Att3"]})
-    deployment.admin.define_policy("admin", "bench", ["(Att2 AND Att3)"])
-    key = deployment.issue_key("bench-consumer", ["Att1", "Att2", "Att3"])
-    policy = parse_policy("(Att1 AND Att2)")
-
-    with deployment.serve() as served:
-        internal = served.client("internal", caller="bench-do")
-        external = served.client("external", caller="bench-consumer")
-        owner = DataOwner(deployment.mpk, _counter_rng("parallel"))
-        consumer = Consumer(deployment.mpk, key)
-
-        def one_cycle(i: int) -> bool:
-            payload = f"payload-{i}".encode() * 8
-            record_id = owner.publish(payload, policy, "bench", internal)
-            return consumer.fetch_and_decrypt(record_id, external) == payload
-
-        total = workers * requests_per_worker
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_cycle, range(total)))
-    return {"workers": workers, "operations": total, "succeeded": sum(results)}

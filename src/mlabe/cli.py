@@ -8,7 +8,6 @@ satisfied, 4 time-gate rejection (key predates the last incident),
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from pathlib import Path
@@ -19,7 +18,6 @@ from .bench import (
     ENCRYPT_COLUMNS,
     SIZE_COLUMNS,
     run_encrypt_bench,
-    run_parallel_exercise,
     run_size_bench,
     write_csv,
 )
@@ -34,6 +32,7 @@ from .errors import (
     MlabeError,
     PolicyUnsatisfied,
 )
+from .hashing import counter_rng
 from .hybrid import hybrid_encrypt
 from .multilayer import add_layers, layered_decrypt
 from .policy import AttributeSet, Cmp, TIMESTAMP_ATTRIBUTE, parse_policy
@@ -200,13 +199,6 @@ def _bench_config(args: argparse.Namespace) -> BenchConfig:
 
 
 def cmd_bench_encrypt(args: argparse.Namespace) -> int:
-    if args.parallel:
-        import tempfile
-        with tempfile.TemporaryDirectory() as tmp:
-            summary = run_parallel_exercise(args.parallel, 4, Path(tmp), "bench")
-        print(f"parallel exercise: {summary['succeeded']}/{summary['operations']} "
-              f"round trips across {summary['workers']} workers")
-        return EXIT_OK
     meta, rows = run_encrypt_bench(_bench_config(args))
     text = write_csv(meta, rows, ENCRYPT_COLUMNS, Path(args.out) if args.out else None)
     if args.out:
@@ -232,13 +224,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     from .exchange.storage import ManualClock
     from .policy import AccessPolicy
 
-    def rng(n: int, _state={"n": 0}) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            out += hashlib.sha256(f"roundtrip:{_state['n']}".encode()).digest()
-            _state["n"] += 1
-        return bytes(out[:n])
-
+    rng = counter_rng("roundtrip")
     clock = ManualClock(1_000)
     payload = Path(args.payload).read_bytes()
     policy = parse_policy(args.policy)
@@ -338,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--do-profile", type=float)
         q.add_argument("--engine-profile", type=float)
         q.add_argument("--payload-size", type=int)
-        if name == "encrypt":
-            q.add_argument("--parallel", type=int, metavar="WORKERS",
-                           help="exercise concurrent service paths instead of timing")
         q.set_defaults(func=func)
 
     p = commands.add_parser("roundtrip", help="in-process end-to-end check")

@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass
 
 from .errors import MalformedCiphertext
-from .policy import AccessPolicy, parse_policy
 
 MAGIC_ABE = b"MLAB"
 MAGIC_HYBRID = b"MLCT"
@@ -41,28 +40,25 @@ _KIND_NAMES = {
 }
 
 
-def pack_container(kind: int, backend_id: int, sections: list[bytes]) -> bytes:
-    out = bytearray(MAGIC_ABE)
-    out += struct.pack(">BBBH", FORMAT_VERSION, backend_id, kind, len(sections))
+def _check_prefix(data: bytes, magic: bytes) -> None:
+    """Both magics are followed by at least 5 header bytes."""
+    if len(data) < 9 or data[:4] != magic:
+        raise MalformedCiphertext("bad magic")
+
+
+def _write_sections(out: bytearray, sections: list[bytes]) -> None:
     for section in sections:
         out += struct.pack(">I", len(section))
         out += section
-    return bytes(out)
 
 
-def unpack_container(data: bytes, expected_kind: int | None = None) -> tuple[int, int, list[bytes]]:
-    """Return (kind, backend_id, sections); raises MalformedCiphertext."""
-    if len(data) < 9 or data[:4] != MAGIC_ABE:
-        raise MalformedCiphertext("bad magic")
-    version, backend_id, kind, n_sections = struct.unpack(">BBBH", data[4:9])
-    if version != FORMAT_VERSION:
-        raise MalformedCiphertext(f"unsupported format version {version}")
+def _read_sections(data: bytes, offset: int, count: int) -> list[bytes]:
+    """Read exactly ``count`` length-prefixed sections ending at len(data)."""
     sections: list[bytes] = []
-    offset = 9
-    for _ in range(n_sections):
+    for _ in range(count):
         if offset + 4 > len(data):
             raise MalformedCiphertext("truncated section header")
-        (length,) = struct.unpack(">I", data[offset:offset + 4])
+        (length,) = struct.unpack_from(">I", data, offset)
         offset += 4
         if offset + length > len(data):
             raise MalformedCiphertext("truncated section")
@@ -70,22 +66,43 @@ def unpack_container(data: bytes, expected_kind: int | None = None) -> tuple[int
         offset += length
     if offset != len(data):
         raise MalformedCiphertext("trailing bytes after container")
-    if expected_kind is not None and kind != expected_kind:
+    return sections
+
+
+def pack_container(kind: int, backend_id: int, sections: list[bytes]) -> bytes:
+    out = bytearray(MAGIC_ABE)
+    out += struct.pack(">BBBH", FORMAT_VERSION, backend_id, kind, len(sections))
+    _write_sections(out, sections)
+    return bytes(out)
+
+
+def unpack_container(data: bytes, kind: int,
+                     count: int | None = None) -> tuple[int, list[bytes]]:
+    """Return (backend_id, sections) of an ``MLAB`` container of the given
+    kind, with exactly ``count`` sections when given; raises
+    MalformedCiphertext."""
+    _check_prefix(data, MAGIC_ABE)
+    version, backend_id, found_kind, n_sections = struct.unpack_from(">BBBH", data, 4)
+    if version != FORMAT_VERSION:
+        raise MalformedCiphertext(f"unsupported format version {version}")
+    sections = _read_sections(data, 9, n_sections)
+    if found_kind != kind:
         raise MalformedCiphertext(
-            f"expected {_KIND_NAMES.get(expected_kind, expected_kind)}, "
-            f"found {_KIND_NAMES.get(kind, kind)}")
-    return kind, backend_id, sections
+            f"expected {_KIND_NAMES.get(kind, kind)}, "
+            f"found {_KIND_NAMES.get(found_kind, found_kind)}")
+    if count is not None and n_sections != count:
+        raise MalformedCiphertext(
+            f"{_KIND_NAMES[kind]} needs {count} sections, found {n_sections}")
+    return backend_id, sections
 
 
 def container_kind(data: bytes) -> int:
-    if len(data) < 9 or data[:4] != MAGIC_ABE:
-        raise MalformedCiphertext("bad magic")
+    _check_prefix(data, MAGIC_ABE)
     return data[6]
 
 
 def container_backend_id(data: bytes) -> int:
-    if len(data) < 9 or data[:4] != MAGIC_ABE:
-        raise MalformedCiphertext("bad magic")
+    _check_prefix(data, MAGIC_ABE)
     return data[5]
 
 
@@ -111,33 +128,20 @@ class AbeCiphertext:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AbeCiphertext":
-        _, _, sections = unpack_container(data, KIND_CT)
-        if len(sections) != 2:
-            raise MalformedCiphertext("ABE ciphertext needs header and body")
-        return cls(header=sections[0], body=sections[1])
+        _, (header, body) = unpack_container(data, KIND_CT, 2)
+        return cls(header=header, body=body)
 
 
 def parse_header(header: bytes) -> tuple[int, str, bytes, bytes]:
     """Split header bytes into (backend_id, policy_text, salt, nonce)."""
-    _, backend_id, sections = unpack_container(header, KIND_HEADER)
-    if len(sections) != 3:
-        raise MalformedCiphertext("ABE header needs 3 sections")
+    backend_id, (policy_bytes, salt, nonce) = unpack_container(header, KIND_HEADER, 3)
     try:
-        policy_text = sections[0].decode("utf-8")
+        policy_text = policy_bytes.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedCiphertext("header policy text is not UTF-8") from exc
-    if len(sections[2]) != GCM_NONCE_BYTES:
+    if len(nonce) != GCM_NONCE_BYTES:
         raise MalformedCiphertext("header nonce has wrong width")
-    return backend_id, policy_text, sections[1], sections[2]
-
-
-def header_policy(header: bytes) -> AccessPolicy:
-    """Parse the access policy carried in a ciphertext header."""
-    _, policy_text, _, _ = parse_header(header)
-    try:
-        return parse_policy(policy_text)
-    except Exception as exc:
-        raise MalformedCiphertext(f"header carries unparseable policy: {exc}") from exc
+    return backend_id, policy_text, salt, nonce
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +178,7 @@ class LayeredAbeCiphertext:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LayeredAbeCiphertext":
-        _, _, sections = unpack_container(data, KIND_LAYERED)
+        _, sections = unpack_container(data, KIND_LAYERED)
         if not sections:
             raise MalformedCiphertext("layered container is empty")
         body = sections[0]
@@ -224,37 +228,22 @@ class HybridCiphertext:
     def to_bytes(self) -> bytes:
         out = bytearray(MAGIC_HYBRID)
         out += struct.pack(">BI", FORMAT_VERSION, self.n_layers)
-        for section in (self.ct_abe.to_bytes(), self.ct_aes.nonce,
-                        self.ct_aes.tag, self.ct_aes.body):
-            out += struct.pack(">I", len(section))
-            out += section
+        _write_sections(out, [self.ct_abe.to_bytes(), self.ct_aes.nonce,
+                              self.ct_aes.tag, self.ct_aes.body])
         return bytes(out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "HybridCiphertext":
-        if len(data) < 9 or data[:4] != MAGIC_HYBRID:
-            raise MalformedCiphertext("bad hybrid magic")
-        version, n_layers = struct.unpack(">BI", data[4:9])
+        _check_prefix(data, MAGIC_HYBRID)
+        version, n_layers = struct.unpack_from(">BI", data, 4)
         if version != FORMAT_VERSION:
             raise MalformedCiphertext(f"unsupported format version {version}")
-        sections: list[bytes] = []
-        offset = 9
-        for _ in range(4):
-            if offset + 4 > len(data):
-                raise MalformedCiphertext("truncated hybrid section")
-            (length,) = struct.unpack(">I", data[offset:offset + 4])
-            offset += 4
-            if offset + length > len(data):
-                raise MalformedCiphertext("truncated hybrid section")
-            sections.append(data[offset:offset + length])
-            offset += length
-        if offset != len(data):
-            raise MalformedCiphertext("trailing bytes after hybrid container")
-        layered = LayeredAbeCiphertext.from_bytes(sections[0])
+        layered_bytes, nonce, tag, body = _read_sections(data, 9, 4)
+        layered = LayeredAbeCiphertext.from_bytes(layered_bytes)
         if layered.n_layers != n_layers:
             raise MalformedCiphertext("layer count field disagrees with container")
         try:
-            record = AesGcmRecord(nonce=sections[1], body=sections[3], tag=sections[2])
+            record = AesGcmRecord(nonce=nonce, body=body, tag=tag)
         except ValueError as exc:
             raise MalformedCiphertext(str(exc)) from exc
         return cls(ct_aes=record, ct_abe=layered)

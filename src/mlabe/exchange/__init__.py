@@ -19,12 +19,12 @@ from .storage import (
     SecurityEventLog,
     SystemClock,
 )
-from .transport import ServiceClient, ServiceServer, TransportTap
+from .transport import LocalClient, ServiceClient, ServiceServer, TransportTap
 
 __all__ = [
     "AttributeAuthority", "AdminService", "Consumer", "DataOwner",
     "Deployment", "ExternalCtEngine", "InternalCtEngine",
     "CtRecord", "CtStore", "LogicalClock", "ManualClock", "PolicyRecord",
     "PolicyStore", "SecurityEventLog", "SystemClock",
-    "ServiceClient", "ServiceServer", "TransportTap",
+    "LocalClient", "ServiceClient", "ServiceServer", "TransportTap",
 ]

@@ -61,7 +61,7 @@ from .storage import (
     SystemClock,
     atomic_write,
 )
-from .transport import ServiceClient, ServiceServer, TransportTap
+from .transport import LocalClient, ServiceClient, ServiceServer, TransportTap
 
 ENGINE_REQUESTER_ID = "internal-ct-engine"
 
@@ -357,10 +357,8 @@ class DataOwner:
         return hybrid_encrypt(self._mpk, ap1, plaintext, self._rng).to_bytes()
 
     def publish(self, plaintext: bytes, ap1: AccessPolicy, policy_name: str,
-                engine: "ServiceClient | InternalCtEngine") -> str:
+                engine: ServiceClient | LocalClient) -> str:
         ct1_bytes = self.encrypt(plaintext, ap1)
-        if isinstance(engine, InternalCtEngine):
-            return engine.publish(ct1_bytes, policy_name).id
         result = engine.request("POST /publish", {
             "ct1_b64": _b64(ct1_bytes), "policy_name": policy_name})
         return result["id"]
@@ -379,13 +377,9 @@ class Consumer:
         return layered_decrypt(self._mpk, self._key, HybridCiphertext.from_bytes(ct3_bytes))
 
     def fetch_and_decrypt(self, record_id: str,
-                          external: "ServiceClient | ExternalCtEngine") -> bytes:
-        if isinstance(external, ExternalCtEngine):
-            ct3_bytes, _ = external.request(record_id)
-        else:
-            result = external.request("GET /ct/{id}", {"id": record_id})
-            ct3_bytes = _unb64(result["ct3_b64"])
-        return self.decrypt(ct3_bytes)
+                          external: ServiceClient | LocalClient) -> bytes:
+        result = external.request("GET /ct/{id}", {"id": record_id})
+        return self.decrypt(_unb64(result["ct3_b64"]))
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +420,9 @@ class Deployment:
         self.external = ExternalCtEngine(self.ct_store, self.event_log, self.aa.mpk)
         self.admin = AdminService(self.policy_store, self.event_log, self.clock,
                                   self.admin_ids, self.internal.on_policy_update)
+        # Service name -> route table, shared by in-process and served clients.
+        self.routes = {"aa": self.aa.routes(), "internal": self.internal.routes(),
+                       "external": self.external.routes(), "admin": self.admin.routes()}
 
     def _load_or_init_config(self, allowlist, admin_ids, k_bits) -> dict:
         path = self.data_dir / "config.json"
@@ -454,6 +451,10 @@ class Deployment:
     def issue_key(self, requester_id: str, attributes: list[str]) -> UserSecretKey:
         return UserSecretKey.from_bytes(self.aa.issue_key(requester_id, attributes))
 
+    def client(self, name: str, caller: str = "") -> LocalClient:
+        """In-process client of one service, through the served dispatch path."""
+        return LocalClient(self.routes[name], caller)
+
     def serve(self, host: str | None = None,
               tap: TransportTap | None = None) -> "ServedDeployment":
         if host is None:
@@ -468,14 +469,8 @@ class ServedDeployment:
                  tap: TransportTap | None):
         self.deployment = deployment
         self.tap = tap
-        self.servers = {
-            "aa": ServiceServer("aa", deployment.aa.routes(), host, tap=tap),
-            "internal": ServiceServer("internal", deployment.internal.routes(),
-                                      host, tap=tap),
-            "external": ServiceServer("external", deployment.external.routes(),
-                                      host, tap=tap),
-            "admin": ServiceServer("admin", deployment.admin.routes(), host, tap=tap),
-        }
+        self.servers = {name: ServiceServer(name, routes, host, tap=tap)
+                        for name, routes in deployment.routes.items()}
         for server in self.servers.values():
             server.start()
 

@@ -6,6 +6,8 @@ Requests carry {"op", "caller", "params"}; responses carry {"ok": true,
 payloads ride base64-encoded inside params/results. A TransportTap can
 observe every frame that crosses the wire, which the test harness uses to
 prove that neither payload plaintext nor symmetric keys ever transit.
+``dispatch`` maps a request to a response frame for both the TCP server
+and the in-process LocalClient, so both raise the same error classes.
 """
 
 from __future__ import annotations
@@ -76,6 +78,43 @@ def _recv_frame(sock: socket.socket, tap: TransportTap | None,
     return json.loads(data.decode("utf-8"))
 
 
+def dispatch(routes: dict[str, Handler], request: dict) -> dict:
+    """Run one request frame against a route table; errors become frames."""
+    op = request.get("op")
+    handler = routes.get(op)
+    if handler is None:
+        return {"ok": False, "error": "NotFound", "message": f"unknown op {op!r}"}
+    try:
+        result = handler(request.get("params", {}), request.get("caller", ""))
+    except MlabeError as exc:
+        return {"ok": False, "error": type(exc).__name__, "message": str(exc)}
+    except Exception as exc:  # keep the server alive; surface the class name
+        return {"ok": False, "error": "ExchangeError",
+                "message": f"{type(exc).__name__}: {exc}"}
+    return {"ok": True, "result": result}
+
+
+def _result(response: dict) -> Any:
+    """The result of a response frame, or its error re-raised by class."""
+    if response.get("ok"):
+        return response.get("result")
+    error_cls = ERROR_CLASSES.get(response.get("error", ""), ExchangeError)
+    raise error_cls(response.get("message", "remote error"))
+
+
+class LocalClient:
+    """In-process client: the same dispatch and error mapping as the wire,
+    without sockets or JSON framing."""
+
+    def __init__(self, routes: dict[str, Handler], caller: str = ""):
+        self._routes = routes
+        self._caller = caller
+
+    def request(self, op: str, params: dict | None = None) -> Any:
+        return _result(dispatch(self._routes, {
+            "op": op, "caller": self._caller, "params": params or {}}))
+
+
 class ServiceServer:
     """One TCP service: a named route table behind a threading server."""
 
@@ -96,7 +135,7 @@ class ServiceServer:
                 except (ConnectionError, json.JSONDecodeError,
                         struct.error, UnicodeDecodeError):
                     return
-                response = outer._dispatch(request)
+                response = dispatch(outer._routes, request)
                 try:
                     _send_frame(self.request, response, outer._tap, f"{outer.name}->")
                 except OSError:
@@ -108,22 +147,6 @@ class ServiceServer:
 
         self._server = _Server((host, port), _Handler)
         self._thread: threading.Thread | None = None
-
-    def _dispatch(self, request: dict) -> dict:
-        op = request.get("op")
-        caller = request.get("caller", "")
-        params = request.get("params", {})
-        handler = self._routes.get(op)
-        if handler is None:
-            return {"ok": False, "error": "NotFound", "message": f"unknown op {op!r}"}
-        try:
-            result = handler(params, caller)
-        except MlabeError as exc:
-            return {"ok": False, "error": type(exc).__name__, "message": str(exc)}
-        except Exception as exc:  # keep the server alive; surface the class name
-            return {"ok": False, "error": "ExchangeError",
-                    "message": f"{type(exc).__name__}: {exc}"}
-        return {"ok": True, "result": result}
 
     @property
     def address(self) -> tuple[str, int]:
@@ -172,7 +195,4 @@ class ServiceClient:
             raise EngineUnreachable(
                 f"{self._address[0]}:{self._address[1]} unreachable "
                 f"after {self._attempts} attempts: {last_error}")
-        if response.get("ok"):
-            return response.get("result")
-        error_cls = ERROR_CLASSES.get(response.get("error", ""), ExchangeError)
-        raise error_cls(response.get("message", "remote error"))
+        return _result(response)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+from typing import Callable
 
 DIGEST_BYTES = 32
 
@@ -49,3 +50,22 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ValueError("xor operands must have equal length")
     return bytes(x ^ y for x, y in zip(a, b))
+
+
+def counter_rng(seed: str) -> Callable[[int], bytes]:
+    """Deterministic entropy source: SHA-256 over ``seed:counter`` blocks.
+
+    Each call consumes whole blocks and drops any unused tail. For tests,
+    benchmarks and reproducible demos only, never for real keys.
+    """
+    counter = 0
+
+    def rng(n: int) -> bytes:
+        nonlocal counter
+        out = bytearray()
+        while len(out) < n:
+            out += hashlib.sha256(f"{seed}:{counter}".encode()).digest()
+            counter += 1
+        return bytes(out[:n])
+
+    return rng

@@ -22,14 +22,7 @@ from .containers import (
     LayeredAbeCiphertext,
     parse_header,
 )
-from .errors import (
-    AeadTagFailure,
-    BackendMismatch,
-    EmptyPlaintext,
-    FoCheckFailed,
-    MalformedCiphertext,
-    PolicyUnsatisfied,
-)
+from .errors import AeadTagFailure, EmptyPlaintext, FoCheckFailed, MalformedCiphertext
 from .hashing import fo_hash
 from .policy import AccessPolicy, parse_policy
 
@@ -79,8 +72,6 @@ def fo_decrypt(mpk: MasterPublicKey, sk: UserSecretKey, base_ct: AbeCiphertext,
     """
     try:
         material = abe_decrypt(mpk, sk, base_ct)
-    except (PolicyUnsatisfied, BackendMismatch):
-        raise
     except MalformedCiphertext as exc:
         # The encapsulation cannot be validated; surface it as the CCA
         # check rejecting the ciphertext.

@@ -83,11 +83,8 @@ def add_layers(mpk: MasterPublicKey, ct: LayeredAbeCiphertext,
 def _peel_one(mpk: MasterPublicKey, sk: UserSecretKey, body: bytes,
               layer_index: int, expected_policy: str | None = None) -> bytes:
     try:
-        _, _, sections = unpack_container(body, containers.KIND_LAYER)
-        if len(sections) != 3:
-            raise MalformedCiphertext("layer needs 3 sections")
-        kem = AbeCiphertext.from_bytes(sections[0])
-        nonce, sealed = sections[1], sections[2]
+        _, (kem_bytes, nonce, sealed) = unpack_container(body, containers.KIND_LAYER, 3)
+        kem = AbeCiphertext.from_bytes(kem_bytes)
         if len(nonce) != GCM_NONCE_BYTES:
             raise MalformedCiphertext("layer nonce has wrong width")
         if expected_policy is not None:
@@ -157,9 +154,9 @@ def outer_policy_text(ct: LayeredAbeCiphertext) -> str | None:
     if ct.n_layers == 0:
         return None
     try:
-        _, _, sections = unpack_container(ct.body, containers.KIND_LAYER)
-        kem = AbeCiphertext.from_bytes(sections[0])
+        _, (kem_bytes, _, _) = unpack_container(ct.body, containers.KIND_LAYER, 3)
+        kem = AbeCiphertext.from_bytes(kem_bytes)
         _, policy_text, _, _ = containers.parse_header(kem.header)
         return policy_text
-    except (MalformedCiphertext, IndexError) as exc:
+    except MalformedCiphertext as exc:
         raise MalformedLayer(str(exc)) from exc

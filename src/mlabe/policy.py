@@ -104,27 +104,14 @@ class AccessPolicy:
         return _serialize_node(self.root)
 
     def leaf_count(self) -> int:
-        return _leaf_count(self.root)
-
-    def attribute_names(self) -> frozenset[str]:
-        """Names mentioned anywhere in the formula (plain and numeric)."""
-        names: set[str] = set()
-        _collect_names(self.root, names)
-        return frozenset(names)
+        return leaf_count(self.root)
 
 
-def _collect_names(node: Node, out: set[str]) -> None:
-    if isinstance(node, (Leaf, Cmp)):
-        out.add(node.name)
-    else:
-        for child in node.children:
-            _collect_names(child, out)
-
-
-def _leaf_count(node: Node) -> int:
+def leaf_count(node: Node) -> int:
+    """Number of Leaf and Cmp nodes under ``node``."""
     if isinstance(node, (Leaf, Cmp)):
         return 1
-    return sum(_leaf_count(child) for child in node.children)
+    return sum(leaf_count(child) for child in node.children)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +125,6 @@ def _serialize_node(node: Node) -> str:
         return f"({node.name} {node.op} {node.value})"
     joiner = " AND " if isinstance(node, And) else " OR "
     return "(" + joiner.join(_serialize_node(c) for c in node.children) + ")"
-
-
-def serialize_policy(policy: AccessPolicy) -> str:
-    """Canonical policy text; ``parse_policy`` inverts it structurally."""
-    return policy.canonical()
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,11 @@
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+from support import make_rng
 
-from support import make_rng  # noqa: E402
-
-from mlabe.abe import setup  # noqa: E402
-from mlabe.policy import AttributeSet, TIMESTAMP_ATTRIBUTE  # noqa: E402
+from mlabe.abe import setup
+from mlabe.policy import AttributeSet, TIMESTAMP_ATTRIBUTE
 
 
 @pytest.fixture(scope="session")

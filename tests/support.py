@@ -4,28 +4,14 @@ systematic policy enumeration."""
 from __future__ import annotations
 
 import base64
-import hashlib
 import itertools
 import json
 import random
 
+from mlabe.hashing import counter_rng as make_rng  # noqa: F401  (re-exported)
 from mlabe.policy import AccessPolicy, And, Cmp, Leaf, Node, Or
 
 ALPHABET = ("A", "B", "C", "D", "E", "F")
-
-
-def make_rng(seed: str):
-    """Counter-mode hash expansion: a deterministic entropy source."""
-    state = {"n": 0}
-
-    def rng(n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            out += hashlib.sha256(f"{seed}:{state['n']}".encode()).digest()
-            state["n"] += 1
-        return bytes(out[:n])
-
-    return rng
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ def test_criterion_05_time_gate_boundary(tmp_path):
         owner = DataOwner(deployment.mpk, make_rng("c5-do"))
         plaintext = b"gate boundary payload " * 4
         record_id = owner.publish(plaintext, parse_policy("(A)"), "vc",
-                                  deployment.internal)
+                                  deployment.client("internal"))
 
         key_at_boundary = deployment.issue_key("alice", ["A"])
         t_incident = deployment.admin.record_incident("admin", "incident")
@@ -258,13 +258,13 @@ def test_criterion_05_time_gate_boundary(tmp_path):
 
         with pytest.raises(PolicyUnsatisfied):
             Consumer(deployment.mpk, key_at_boundary).fetch_and_decrypt(
-                record_id, deployment.external)
+                record_id, deployment.client("external"))
 
         clock.set(t_incident + 1)
         key_after = deployment.issue_key("alice", ["A"])
         assert key_after.attrs.issuance_timestamp == t_incident + 1
         assert Consumer(deployment.mpk, key_after).fetch_and_decrypt(
-            record_id, deployment.external) == plaintext
+            record_id, deployment.client("external")) == plaintext
 
 
 def _r_squared(xs: list[float], ys: list[float]) -> float:

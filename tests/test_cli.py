@@ -97,6 +97,19 @@ class TestFileFlow:
                    "--out", str(tmp_path / "out.bin"))
         assert code == EXIT_INTEGRITY
 
+    def test_malformed_key_exits_5(self, env, tmp_path):
+        from mlabe.containers import KIND_USK, pack_container
+
+        initialized(env)
+        payload = tmp_path / "pt.bin"
+        payload.write_bytes(b"x" * 50)
+        run("encrypt", "--policy", "Staff", "--in", str(payload),
+            "--out", str(tmp_path / "ct1.bin"))
+        (tmp_path / "bad.key").write_bytes(pack_container(KIND_USK, 1, [b"id", b"{}"]))
+        assert run("decrypt", "--ct", str(tmp_path / "ct1.bin"),
+                   "--key", str(tmp_path / "bad.key"),
+                   "--out", str(tmp_path / "out.bin")) == EXIT_INTEGRITY
+
 
 class TestPublishRequest:
     def test_publish_request_decrypt_and_timegate(self, env, tmp_path, capsys):
@@ -195,7 +208,3 @@ class TestBenchCommands:
 
     def test_bench_invalid_config(self, env):
         assert run("bench", "encrypt", "--repetitions", "0") == EXIT_USAGE
-
-    def test_bench_parallel_exercise(self, env, capsys):
-        assert run("bench", "encrypt", "--parallel", "3") == EXIT_OK
-        assert "parallel exercise: 12/12" in capsys.readouterr().out

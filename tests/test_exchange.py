@@ -4,6 +4,7 @@ time gate, and wire-level confidentiality."""
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -89,14 +90,14 @@ class TestPublish:
     def test_stored_layers_match_policy_record(self, deployment):
         owner = DataOwner(deployment.mpk, make_rng("do"))
         record_id = owner.publish(b"data " * 40, parse_policy("(Mechanic AND Staff)"),
-                                  "vc", deployment.internal)
+                                  "vc", deployment.client("internal"))
         record = deployment.ct_store.get(record_id)
         assert record.n_layers == 2  # the two configured engine layers
 
     def test_stored_bytes_hash_equals_id(self, deployment):
         owner = DataOwner(deployment.mpk, make_rng("do"))
         record_id = owner.publish(b"data " * 40, parse_policy("(Staff)"),
-                                  "vc", deployment.internal)
+                                  "vc", deployment.client("internal"))
         import hashlib
         record = deployment.ct_store.get(record_id)
         assert hashlib.sha256(record.ct).hexdigest() == record_id
@@ -105,7 +106,7 @@ class TestPublish:
         owner = DataOwner(deployment.mpk, make_rng("do"))
         with pytest.raises(NotFound):
             owner.publish(b"data", parse_policy("(Staff)"), "nope",
-                          deployment.internal)
+                          deployment.client("internal"))
 
     def test_engine_unreachable_after_retries(self, deployment):
         owner = DataOwner(deployment.mpk, make_rng("do"))
@@ -120,11 +121,12 @@ class TestPublish:
         owner = DataOwner(deployment.mpk, make_rng("do"))
         plaintext = b"published before the consumer existed " * 4
         record_id = owner.publish(plaintext, parse_policy("(Mechanic)"),
-                                  "vc", deployment.internal)
+                                  "vc", deployment.client("internal"))
         deployment.clock.advance(60)
         late_key = deployment.issue_key("alice", ["Mechanic", "Staff", "Boss"])
         consumer = Consumer(deployment.mpk, late_key)
-        assert consumer.fetch_and_decrypt(record_id, deployment.external) == plaintext
+        assert consumer.fetch_and_decrypt(
+            record_id, deployment.client("external")) == plaintext
 
 
 class TestPolicyUpdate:
@@ -132,13 +134,13 @@ class TestPolicyUpdate:
         owner = DataOwner(deployment.mpk, make_rng("do"))
         plaintext = b"updatable payload " * 10
         record_id = owner.publish(plaintext, parse_policy("(Mechanic)"),
-                                  "vc", deployment.internal)
+                                  "vc", deployment.client("internal"))
         before = deployment.ct_store.get(record_id)
         aes_before = HybridCiphertext.from_bytes(before.ct).ct_aes
 
         key_old = deployment.issue_key("alice", ["Mechanic", "Staff"])
         assert Consumer(deployment.mpk, key_old).fetch_and_decrypt(
-            record_id, deployment.external) == plaintext
+            record_id, deployment.client("external")) == plaintext
 
         result = deployment.admin.update_policy(
             "admin", "vc", ["(Staff)", "(Mechanic AND Boss)"])
@@ -153,10 +155,10 @@ class TestPolicyUpdate:
 
         with pytest.raises(PolicyUnsatisfied):
             Consumer(deployment.mpk, key_old).fetch_and_decrypt(
-                record_id, deployment.external)
+                record_id, deployment.client("external"))
         key_new = deployment.issue_key("alice", ["Mechanic", "Staff", "Boss"])
         assert Consumer(deployment.mpk, key_new).fetch_and_decrypt(
-            record_id, deployment.external) == plaintext
+            record_id, deployment.client("external")) == plaintext
 
     def test_update_requires_existing_policy(self, deployment):
         with pytest.raises(NotFound):
@@ -174,7 +176,7 @@ class TestTimeGate:
     def test_returned_layer_count(self, deployment):
         owner = DataOwner(deployment.mpk, make_rng("do"))
         record_id = owner.publish(b"data " * 20, parse_policy("(Staff)"),
-                                  "vc", deployment.internal)
+                                  "vc", deployment.client("internal"))
         stored = deployment.ct_store.get(record_id)
         _, n_layers = deployment.external.request(record_id)
         assert n_layers == stored.n_layers + 1
@@ -182,7 +184,7 @@ class TestTimeGate:
     def test_store_not_modified_by_requests(self, deployment):
         owner = DataOwner(deployment.mpk, make_rng("do"))
         record_id = owner.publish(b"data " * 20, parse_policy("(Staff)"),
-                                  "vc", deployment.internal)
+                                  "vc", deployment.client("internal"))
         before = deployment.ct_store.get(record_id).ct
         deployment.external.request(record_id)
         deployment.external.request(record_id)
@@ -194,7 +196,7 @@ class TestTimeGate:
         owner = DataOwner(deployment.mpk, make_rng("do"))
         plaintext = b"gated payload " * 8
         record_id = owner.publish(plaintext, parse_policy("(Mechanic)"),
-                                  "vc", deployment.internal)
+                                  "vc", deployment.client("internal"))
         incident_time = deployment.clock.now()
         at_incident = deployment.issue_key("alice", ["Mechanic", "Staff", "Boss"])
         t_incident = deployment.admin.record_incident("admin", "breach")
@@ -203,13 +205,13 @@ class TestTimeGate:
 
         with pytest.raises(PolicyUnsatisfied):
             Consumer(deployment.mpk, at_incident).fetch_and_decrypt(
-                record_id, deployment.external)
+                record_id, deployment.client("external"))
 
         deployment.clock.set(t_incident + 1)
         after = deployment.issue_key("alice", ["Mechanic", "Staff", "Boss"])
         assert after.attrs.issuance_timestamp == t_incident + 1
         assert Consumer(deployment.mpk, after).fetch_and_decrypt(
-            record_id, deployment.external) == plaintext
+            record_id, deployment.client("external")) == plaintext
 
     def test_incident_requires_admin(self, deployment):
         with pytest.raises(Unauthorized):
@@ -225,7 +227,7 @@ class TestTimeGate:
         owner = DataOwner(deployment.mpk, make_rng("do"))
         plaintext = b"concurrent " * 16
         record_id = owner.publish(plaintext, parse_policy("(Staff)"),
-                                  "vc", deployment.internal)
+                                  "vc", deployment.client("internal"))
         before = deployment.ct_store.get(record_id).ct
         key = deployment.issue_key("alice", ["Mechanic", "Staff", "Boss"])
         results: list[bytes] = []
@@ -234,7 +236,7 @@ class TestTimeGate:
         def fetch():
             try:
                 results.append(Consumer(deployment.mpk, key).fetch_and_decrypt(
-                    record_id, deployment.external))
+                    record_id, deployment.client("external")))
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -276,16 +278,45 @@ class TestWire:
             assert health["status"] == "ok"
         assert len(tap.frames()) >= 8
 
-    def test_unknown_op(self, deployment):
-        with deployment.serve() as served:
-            with pytest.raises(NotFound):
-                served.client("aa").request("GET /nope")
+    @pytest.fixture(params=["served", "local"])
+    def client(self, request, deployment):
+        """``client(name, caller)`` over TCP, or in process through the
+        same dispatch and error mapping."""
+        if request.param == "local":
+            yield deployment.client
+        else:
+            with deployment.serve() as served:
+                yield served.client
 
-    def test_remote_errors_rehydrate(self, deployment):
+    def test_unknown_op(self, client):
+        with pytest.raises(NotFound):
+            client("aa").request("GET /nope")
+
+    def test_remote_errors_rehydrate(self, client):
+        with pytest.raises(Unauthorized):
+            client("aa", caller="mallory").request(
+                "POST /keygen", {"attributes": ["Staff"]})
+
+    def test_concurrent_served_round_trips(self, deployment):
+        """Three threads each publish and fetch four payloads over TCP."""
+        key = deployment.issue_key("alice", ["Mechanic", "Staff", "Boss"])
+        policy = parse_policy("(Mechanic AND Staff)")
+
         with deployment.serve() as served:
-            with pytest.raises(Unauthorized):
-                served.client("aa", caller="mallory").request(
-                    "POST /keygen", {"attributes": ["Staff"]})
+            def round_trips(index: int) -> list[bool]:
+                owner = DataOwner(deployment.mpk, make_rng(f"concurrent-{index}"))
+                internal = served.client("internal", caller="do1")
+                external = served.client("external", caller="alice")
+                consumer = Consumer(deployment.mpk, key)
+                payloads = [f"payload-{index}-{trip} ".encode() * 8 for trip in range(4)]
+                return [consumer.fetch_and_decrypt(
+                            owner.publish(payload, policy, "vc", internal), external) == payload
+                        for payload in payloads]
+
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                results = [ok for trips in pool.map(round_trips, range(3), timeout=60)
+                           for ok in trips]
+        assert results == [True] * 12
 
     def test_confidentiality_of_captures(self, deployment):
         """No frame on the wire may carry the payload or the symmetric key,

@@ -25,7 +25,7 @@ from mlabe.multilayer import (
     peel_layers,
     update_outer_layers,
 )
-from mlabe.policy import parse_policy, serialize_policy
+from mlabe.policy import parse_policy
 
 from conftest import issue
 
@@ -244,5 +244,5 @@ class TestUpdateOuterLayers:
 class TestAugment:
     def test_augmented_form(self):
         policy = parse_policy("(A AND B)")
-        assert serialize_policy(augment_for_engine(policy)) == \
+        assert augment_for_engine(policy).canonical() == \
             f"((A AND B) OR {ENGINE_UPDATE_ATTRIBUTE})"

@@ -19,7 +19,6 @@ from mlabe.policy import (
     Or,
     parse_policy,
     satisfies,
-    serialize_policy,
 )
 
 
@@ -45,8 +44,8 @@ class TestParsing:
         assert policy.root == Cmp("T_SK", ">", 1700000000)
 
     def test_and_binds_tighter_than_or(self):
-        assert serialize_policy(parse_policy("A AND B OR C")) == "((A AND B) OR C)"
-        assert serialize_policy(parse_policy("A OR B AND C")) == "(A OR (B AND C))"
+        assert parse_policy("A AND B OR C").canonical() == "((A AND B) OR C)"
+        assert parse_policy("A OR B AND C").canonical() == "(A OR (B AND C))"
 
     def test_parentheses_preserve_structure(self):
         nested = parse_policy("(A AND B) AND C")
@@ -60,7 +59,7 @@ class TestParsing:
         ("cnt = 7 OR cnt < 3", "((cnt = 7) OR (cnt < 3))"),
     ])
     def test_grammar_corners(self, text, expected):
-        assert serialize_policy(parse_policy(text)) == expected
+        assert parse_policy(text).canonical() == expected
 
     @pytest.mark.parametrize("text", [
         "A AND", "(A", "A)", "AND A", "A OR OR B", "A > ", "> 5",
@@ -84,14 +83,14 @@ class TestParsing:
 
 class TestSerialization:
     def test_trivial_forms(self):
-        assert serialize_policy(AccessPolicy(And((Leaf("A"), Leaf("B"))))) == "(A AND B)"
-        assert serialize_policy(AccessPolicy(
-            Or((And((Leaf("A"), Leaf("B"))), Leaf("C"))))) == "((A AND B) OR C)"
-        assert serialize_policy(AccessPolicy(Cmp("T_SK", ">", 5))) == "(T_SK > 5)"
+        assert AccessPolicy(And((Leaf("A"), Leaf("B")))).canonical() == "(A AND B)"
+        assert AccessPolicy(
+            Or((And((Leaf("A"), Leaf("B"))), Leaf("C")))).canonical() == "((A AND B) OR C)"
+        assert AccessPolicy(Cmp("T_SK", ">", 5)).canonical() == "(T_SK > 5)"
 
     def test_roundtrip_over_enumerated_family(self):
         for policy in enumerate_policies():
-            assert parse_policy(serialize_policy(policy)) == policy
+            assert parse_policy(policy.canonical()) == policy
 
     def test_ast_validation(self):
         with pytest.raises(ValueError):
@@ -175,7 +174,7 @@ _policies = _nodes.map(AccessPolicy)
 @given(_policies)
 @settings(max_examples=300)
 def test_property_roundtrip(policy):
-    assert parse_policy(serialize_policy(policy)) == policy
+    assert parse_policy(policy.canonical()) == policy
 
 
 @given(_policies,
