@@ -20,6 +20,7 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from cryptography.exceptions import InvalidTag
@@ -143,6 +144,37 @@ class UserSecretKey:
             raise MalformedCiphertext(f"unreadable key attributes: {exc}") from exc
         return cls(backend_id=backend_id, key_id=key_id, attrs=attrs, material=material)
 
+    @cached_property
+    def _leaf_keys(self) -> dict[str, bytes]:
+        """The dev backend's name -> leaf-key map, parsed on first use.
+
+        Not a dataclass field, so it stays out of repr, equality and
+        to_bytes, and it lives exactly as long as this key object. A parse
+        failure is not cached: every use of a malformed key raises again.
+        """
+        return _unpack_leaf_keys(self.material)
+
+
+def _unpack_leaf_keys(material: bytes) -> dict[str, bytes]:
+    """Parse dev-backend key material: (u32 length, name, 32-byte key)*."""
+    keys: dict[str, bytes] = {}
+    offset = 0
+    while offset < len(material):
+        if offset + 4 > len(material):
+            raise MalformedCiphertext("truncated key material")
+        (length,) = struct.unpack_from(">I", material, offset)
+        offset += 4
+        if offset + length + SHARE_BYTES > len(material):
+            raise MalformedCiphertext("truncated key material")
+        try:
+            name = material[offset:offset + length].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedCiphertext(f"unreadable key material: {exc}") from exc
+        offset += length
+        keys[name] = material[offset:offset + SHARE_BYTES]
+        offset += SHARE_BYTES
+    return keys
+
 
 # ---------------------------------------------------------------------------
 # Backend interface
@@ -241,21 +273,6 @@ class DevKeyedHashBackend(AbeBackend):
             material += self._leaf_key(wrap_root, name)
         key_id = prf(seed, b"key-id", attrs_blob)[:KEY_ID_BYTES]
         return UserSecretKey(self.backend_id, key_id, attrs, bytes(material))
-
-    @staticmethod
-    def _unpack_leaf_keys(material: bytes) -> dict[str, bytes]:
-        keys: dict[str, bytes] = {}
-        offset = 0
-        while offset < len(material):
-            if offset + 4 > len(material):
-                raise MalformedCiphertext("truncated key material")
-            (length,) = struct.unpack(">I", material[offset:offset + 4])
-            offset += 4
-            name = material[offset:offset + length].decode("utf-8")
-            offset += length
-            keys[name] = material[offset:offset + SHARE_BYTES]
-            offset += SHARE_BYTES
-        return keys
 
     # -- share tree ---------------------------------------------------------
 
@@ -369,8 +386,7 @@ class DevKeyedHashBackend(AbeBackend):
         shares = [ct.body[4 + i * SHARE_BYTES: 4 + (i + 1) * SHARE_BYTES]
                   for i in range(n_leaves)]
         sealed = ct.body[shares_end:]
-        root_secret = self._recover_secret(policy.root, 0, sk.attrs,
-                                           self._unpack_leaf_keys(sk.material),
+        root_secret = self._recover_secret(policy.root, 0, sk.attrs, sk._leaf_keys,
                                            mpk.material, salt, shares)
         if root_secret is None:
             # satisfies() passed, so this means the key material is inconsistent

@@ -44,7 +44,13 @@ from ..errors import (
     Unauthorized,
 )
 from ..hybrid import hybrid_encrypt
-from ..multilayer import ENGINE_UPDATE_ATTRIBUTE, add_layers, augment_for_engine, update_outer_layers
+from ..multilayer import (
+    ENGINE_UPDATE_ATTRIBUTE,
+    add_layers,
+    augment_for_engine,
+    layered_decrypt,
+    update_outer_layers,
+)
 from ..policy import (
     AccessPolicy,
     AttributeSet,
@@ -373,7 +379,6 @@ class Consumer:
         self._key = key
 
     def decrypt(self, ct3_bytes: bytes) -> bytes:
-        from ..multilayer import layered_decrypt
         return layered_decrypt(self._mpk, self._key, HybridCiphertext.from_bytes(ct3_bytes))
 
     def fetch_and_decrypt(self, record_id: str,

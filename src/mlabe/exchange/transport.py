@@ -166,7 +166,14 @@ class ServiceServer:
 
 
 class ServiceClient:
-    """Single-request-per-connection client with retry/backoff."""
+    """Single-request-per-connection client.
+
+    Only connecting is retried, with exponential backoff: a request that
+    never left cannot have been applied. Once the frame has been sent, any
+    failure raises EngineUnreachable without resending, because the server
+    may already have acted on it (a resent POST /incident would record two
+    incidents).
+    """
 
     def __init__(self, address: tuple[str, int], caller: str = "",
                  tap: TransportTap | None = None, attempts: int = 3,
@@ -178,21 +185,27 @@ class ServiceClient:
         self._backoff = backoff
         self._timeout = timeout
 
-    def request(self, op: str, params: dict | None = None) -> Any:
-        payload = {"op": op, "caller": self._caller, "params": params or {}}
-        last_error: Exception | None = None
+    def _connect(self) -> socket.socket:
+        last_error: OSError | None = None
         for attempt in range(self._attempts):
             if attempt:
                 time.sleep(self._backoff * (2 ** (attempt - 1)))
             try:
-                with socket.create_connection(self._address, timeout=self._timeout) as sock:
-                    _send_frame(sock, payload, self._tap, "client->")
-                    response = _recv_frame(sock, self._tap, "client<-")
-                break
-            except (OSError, ConnectionError, json.JSONDecodeError) as exc:
+                return socket.create_connection(self._address, timeout=self._timeout)
+            except OSError as exc:
                 last_error = exc
-        else:
-            raise EngineUnreachable(
-                f"{self._address[0]}:{self._address[1]} unreachable "
-                f"after {self._attempts} attempts: {last_error}")
+        raise EngineUnreachable(
+            f"{self._address[0]}:{self._address[1]} unreachable "
+            f"after {self._attempts} attempts: {last_error}")
+
+    def request(self, op: str, params: dict | None = None) -> Any:
+        payload = {"op": op, "caller": self._caller, "params": params or {}}
+        with self._connect() as sock:
+            try:
+                _send_frame(sock, payload, self._tap, "client->")
+                response = _recv_frame(sock, self._tap, "client<-")
+            except (OSError, ValueError) as exc:
+                raise EngineUnreachable(
+                    f"{self._address[0]}:{self._address[1]} failed after the request "
+                    f"was sent; not resent: {exc}") from exc
         return _result(response)

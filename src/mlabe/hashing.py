@@ -35,7 +35,7 @@ def fo_hash(*parts: bytes) -> bytes:
 
 def prf(key: bytes, *parts: bytes) -> bytes:
     """Keyed 256-bit expansion of the length-prefixed parts."""
-    return hmac.new(key, length_prefixed(*parts), hashlib.sha256).digest()
+    return hmac.digest(key, length_prefixed(*parts), "sha256")
 
 
 def u32(value: int) -> bytes:
@@ -47,9 +47,10 @@ def u64(value: int) -> bytes:
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """Bytewise XOR of two equal-length strings, computed on integers."""
     if len(a) != len(b):
         raise ValueError("xor operands must have equal length")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def counter_rng(seed: str) -> Callable[[int], bytes]:

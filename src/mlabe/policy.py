@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -242,11 +243,16 @@ class _Parser:
             token.pos, "attribute or '('")
 
 
+@lru_cache(maxsize=256)
 def parse_policy(text: str) -> AccessPolicy:
     """Parse policy text into its AST.
 
     Raises :class:`EmptyPolicyError` for empty/whitespace input and
     :class:`PolicySyntaxError` (with position) for malformed text.
+
+    Results are memoized in a bounded LRU: policy texts are public and the
+    returned AST is immutable, so sharing it between callers is safe. A
+    parse error is never cached; malformed text raises on every call.
     """
     if not text or text.strip() == "":
         raise EmptyPolicyError("policy text is empty")

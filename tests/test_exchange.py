@@ -3,6 +3,8 @@ time gate, and wire-level confidentiality."""
 
 from __future__ import annotations
 
+import socket
+import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -114,6 +116,36 @@ class TestPublish:
                              attempts=3, backoff=0.01, timeout=0.2)
         with pytest.raises(EngineUnreachable):
             owner.publish(b"data", parse_policy("(Staff)"), "vc", dead)
+
+    def test_sent_request_is_not_resent(self):
+        """A listener that reads one frame and hangs up without replying:
+        the client must report the engine unreachable after exactly one
+        delivery, because the server may already have acted on it."""
+        delivered: list[bytes] = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(0.5)
+
+            def read_and_hang_up() -> None:
+                while True:
+                    try:
+                        conn, _ = listener.accept()
+                    except OSError:
+                        return
+                    with conn:
+                        conn.settimeout(2)
+                        (length,) = struct.unpack(">I", conn.recv(4, socket.MSG_WAITALL))
+                        delivered.append(conn.recv(length, socket.MSG_WAITALL))
+
+            server = threading.Thread(target=read_and_hang_up, daemon=True)
+            server.start()
+            client = ServiceClient(listener.getsockname()[:2], caller="admin",
+                                   attempts=3, backoff=0.01, timeout=2)
+            with pytest.raises(EngineUnreachable, match="not resent"):
+                client.request("POST /incident", {})
+            server.join(timeout=5)
+        assert not server.is_alive()
+        assert len(delivered) == 1
+        assert b"POST /incident" in delivered[0]
 
     def test_history_available_to_later_consumers(self, deployment):
         """Keys issued after publication decrypt old records without any

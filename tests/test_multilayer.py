@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from support import ALPHABET, make_rng, random_policy
 
+from mlabe.abe import UserSecretKey
 from mlabe.containers import HybridCiphertext, LayeredAbeCiphertext
 from mlabe.errors import (
     EmptyPolicyList,
@@ -151,6 +153,39 @@ class TestPeelLayers:
                 ct = add_layers(master_pair.mpk, ct, policies)
                 expected += len(policies)
             assert ct.n_layers == expected
+
+
+class TestParsedKeyMap:
+    """The dev backend parses a user key's leaf keys once per key object."""
+
+    @pytest.mark.parametrize("damage", [
+        lambda m: m[:-5],                        # inside the last leaf key
+        lambda m: m[:4],                         # name missing after its length
+        lambda m: m[:3],                         # inside a length prefix
+        lambda m: b"\x00\x00\x00\x01\xff" + bytes(32) + m,  # undecodable name
+    ], ids=["inside-key", "missing-name", "inside-length", "undecodable-name"])
+    def test_malformed_leaf_material_fails_closed_every_use(self, master_pair, damage):
+        ct = _base(master_pair)
+        layered = add_layers(master_pair.mpk, ct.ct_abe, [parse_policy("C")])
+        key = issue(master_pair, {"C"})
+        broken = dataclasses.replace(key, material=damage(key.material))
+        for _ in range(2):
+            with pytest.raises(MalformedLayer):
+                peel_layers(master_pair.mpk, broken, layered, 1)
+
+    def test_map_is_invisible_to_repr_bytes_and_equality(self, master_pair):
+        ct = _base(master_pair)
+        layered = add_layers(master_pair.mpk, ct.ct_abe, [parse_policy("C")])
+        key = issue(master_pair, {"C"})
+        fresh = UserSecretKey.from_bytes(key.to_bytes())
+        before_repr, before_bytes = repr(key), key.to_bytes()
+        peel_layers(master_pair.mpk, key, layered, 1)
+        assert "_leaf_keys" in vars(key)  # parsed and kept on the key object
+        assert "_leaf_keys" not in vars(fresh)
+        assert repr(key) == before_repr
+        assert "_leaf_keys" not in repr(key)
+        assert key.to_bytes() == before_bytes
+        assert key == fresh and hash(key) == hash(fresh)
 
 
 class TestLayeredDecrypt:

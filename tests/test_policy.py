@@ -81,6 +81,32 @@ class TestParsing:
             parse_policy(f"x = {2**64}")
 
 
+class TestParseMemo:
+    """parse_policy memoizes successful parses in a bounded LRU."""
+
+    @pytest.mark.parametrize("text,error", [
+        ("", EmptyPolicyError), ("   ", EmptyPolicyError),
+        ("A AND", PolicySyntaxError), ("A && B", PolicySyntaxError),
+    ])
+    def test_errors_raise_on_every_call(self, text, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                parse_policy(text)
+
+    def test_repeated_parse_is_equal(self):
+        text = "((Att1 AND Att2) OR (T_SK > 7))"
+        first = parse_policy(text)
+        assert parse_policy(text) == first
+        assert parse_policy(text).canonical() == first.canonical() == text
+
+    def test_bound_is_fixed(self):
+        maxsize = parse_policy.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+        for i in range(maxsize + 10):
+            parse_policy(f"Memo{i} AND Other")
+        assert parse_policy.cache_info().currsize <= maxsize
+
+
 class TestSerialization:
     def test_trivial_forms(self):
         assert AccessPolicy(And((Leaf("A"), Leaf("B")))).canonical() == "(A AND B)"
