@@ -50,7 +50,6 @@ from .policy import (
     compare_values,
     leaf_count,
     parse_policy,
-    satisfies,
 )
 
 Rng = Callable[[int], bytes]
@@ -68,9 +67,10 @@ def draw_entropy(rng: Rng, n: int) -> bytes:
         out = rng(n)
     except Exception as exc:
         raise EntropyFailure(f"entropy source raised: {exc}") from exc
-    if not isinstance(out, (bytes, bytearray)) or len(out) != n:
-        raise EntropyFailure(f"entropy source returned {len(out) if out is not None else 'no'} "
-                             f"bytes, wanted {n}")
+    if not isinstance(out, (bytes, bytearray)):
+        raise EntropyFailure(f"entropy source returned {type(out).__name__}, wanted {n} bytes")
+    if len(out) != n:
+        raise EntropyFailure(f"entropy source returned {len(out)} bytes, wanted {n}")
     return bytes(out)
 
 
@@ -151,8 +151,12 @@ class UserSecretKey:
         Not a dataclass field, so it stays out of repr, equality and
         to_bytes, and it lives exactly as long as this key object. A parse
         failure is not cached: every use of a malformed key raises again.
+        Leaf access is decided from this map, so it must name ``attrs.names``.
         """
-        return _unpack_leaf_keys(self.material)
+        keys = _unpack_leaf_keys(self.material)
+        if keys.keys() != self.attrs.names:
+            raise MalformedCiphertext("key material disagrees with key attributes")
+        return keys
 
 
 def _unpack_leaf_keys(material: bytes) -> dict[str, bytes]:
@@ -276,34 +280,27 @@ class DevKeyedHashBackend(AbeBackend):
 
     # -- share tree ---------------------------------------------------------
 
-    def _wrap_shares(self, node: Node, secret: bytes, leaf_start: int, depth: int,
-                     u: bytes, wrap_root: bytes, salt: bytes,
-                     out: list[bytes]) -> None:
-        if isinstance(node, Leaf):
-            pad = prf(self._leaf_key(wrap_root, node.name), b"pad", salt, u32(leaf_start))
-            out.append(xor_bytes(secret, pad))
-            return
-        if isinstance(node, Cmp):
-            pad = prf(self._cmp_key(wrap_root, node), b"pad", salt, u32(leaf_start))
-            out.append(xor_bytes(secret, pad))
+    def _wrap_shares(self, node: Node, secret: bytes, depth: int, u: bytes,
+                     wrap_root: bytes, salt: bytes, out: list[bytes]) -> None:
+        leaf_start = len(out)  # shares are appended in leaf preorder
+        if isinstance(node, (Leaf, Cmp)):
+            key = (self._leaf_key(wrap_root, node.name) if isinstance(node, Leaf)
+                   else self._cmp_key(wrap_root, node))
+            out.append(xor_bytes(secret, prf(key, b"pad", salt, u32(leaf_start))))
             return
         if isinstance(node, Or):
-            offset = leaf_start
             for child in node.children:
-                self._wrap_shares(child, secret, offset, depth + 1, u, wrap_root, salt, out)
-                offset += leaf_count(child)
+                self._wrap_shares(child, secret, depth + 1, u, wrap_root, salt, out)
             return
         # AND: n-1 pseudorandom shares, last one closes the XOR to the secret.
         acc = secret
-        offset = leaf_start
         for index, child in enumerate(node.children):
             if index < len(node.children) - 1:
                 share = prf(u, b"and-share", u32(leaf_start), u32(depth), u32(index))
                 acc = xor_bytes(acc, share)
             else:
                 share = acc
-            self._wrap_shares(child, share, offset, depth + 1, u, wrap_root, salt, out)
-            offset += leaf_count(child)
+            self._wrap_shares(child, share, depth + 1, u, wrap_root, salt, out)
 
     def _recover_secret(self, node: Node, leaf_start: int, attrs: AttributeSet,
                         leaf_keys: dict[str, bytes], wrap_root: bytes, salt: bytes,
@@ -354,7 +351,7 @@ class DevKeyedHashBackend(AbeBackend):
             [policy.canonical().encode("utf-8"), salt, nonce])
         root_secret = prf(u, b"share-root")
         wrapped: list[bytes] = []
-        self._wrap_shares(policy.root, root_secret, 0, 0, u, mpk.material, salt, wrapped)
+        self._wrap_shares(policy.root, root_secret, 0, u, mpk.material, salt, wrapped)
         body_key = prf(root_secret, b"body-key")
         sealed = AESGCM(body_key).encrypt(nonce, message, header)
         body = struct.pack(">I", len(wrapped)) + b"".join(wrapped) + sealed
@@ -362,7 +359,7 @@ class DevKeyedHashBackend(AbeBackend):
 
     def decrypt(self, mpk: MasterPublicKey, sk: UserSecretKey,
                 ct: AbeCiphertext) -> bytes:
-        backend_id, policy_text, salt, nonce = parse_header(ct.header)
+        backend_id, policy_text, salt, nonce = ct.header_fields
         if sk.backend_id != self.backend_id:
             raise BackendMismatch("key belongs to a different backend")
         if backend_id != self.backend_id:
@@ -372,8 +369,6 @@ class DevKeyedHashBackend(AbeBackend):
             policy = parse_policy(policy_text)
         except Exception as exc:
             raise MalformedCiphertext(f"unparseable policy in header: {exc}") from exc
-        if not satisfies(sk.attrs, policy):
-            raise PolicyUnsatisfied()
         n_leaves = policy.leaf_count()
         if len(ct.body) < 4:
             raise MalformedCiphertext("truncated body")
@@ -389,9 +384,7 @@ class DevKeyedHashBackend(AbeBackend):
         root_secret = self._recover_secret(policy.root, 0, sk.attrs, sk._leaf_keys,
                                            mpk.material, salt, shares)
         if root_secret is None:
-            # satisfies() passed, so this means the key material is inconsistent
-            # with its recorded attributes.
-            raise PolicyUnsatisfied("key material does not cover the policy")
+            raise PolicyUnsatisfied()
         body_key = prf(root_secret, b"body-key")
         try:
             return AESGCM(body_key).decrypt(nonce, sealed, ct.header)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MalformedCiphertext
 
@@ -130,6 +131,12 @@ class AbeCiphertext:
     def from_bytes(cls, data: bytes) -> "AbeCiphertext":
         _, (header, body) = unpack_container(data, KIND_CT, 2)
         return cls(header=header, body=body)
+
+    @cached_property
+    def header_fields(self) -> tuple[int, str, bytes, bytes]:
+        """``parse_header(self.header)`` on first use. Not a field, so a damaged
+        header raises only when read, and a failure is not cached."""
+        return parse_header(self.header)
 
 
 def parse_header(header: bytes) -> tuple[int, str, bytes, bytes]:

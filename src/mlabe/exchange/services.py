@@ -446,7 +446,7 @@ class Deployment:
             config = {"allowlist": {k: list(v) for k, v in (allowlist or {}).items()},
                       "admin_ids": sorted(admin_ids or {"admin"}),
                       "k_bits": k_bits}
-        path.write_text(json.dumps(config, indent=2, sort_keys=True), "utf-8")
+        atomic_write(path, json.dumps(config, indent=2, sort_keys=True).encode("utf-8"))
         return config
 
     @property

@@ -146,7 +146,7 @@ class CtStore:
             created_at=now, updated_at=now,
             policy_name=policy_name, policy_version=policy_version,
             layer_policy_digest=layer_policy_digest(layer_policies),
-            content_digest=content_id(ct),
+            content_digest=record_id,
         )
         with self._lock_for(record_id):
             atomic_write(self._path(record_id), record.to_json())

@@ -80,6 +80,9 @@ def _recv_frame(sock: socket.socket, tap: TransportTap | None,
 
 def dispatch(routes: dict[str, Handler], request: dict) -> dict:
     """Run one request frame against a route table; errors become frames."""
+    if not isinstance(request, dict):
+        return {"ok": False, "error": "ExchangeError",
+                "message": "request frame is not a JSON object"}
     op = request.get("op")
     handler = routes.get(op)
     if handler is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .abe import MasterPublicKey, Rng, UserSecretKey, abe_decrypt, abe_encrypt, draw_entropy, extract_header
+from .abe import MasterPublicKey, Rng, UserSecretKey, abe_decrypt, abe_encrypt, draw_entropy
 from .containers import (
     AbeCiphertext,
     AesGcmRecord,
@@ -20,7 +20,6 @@ from .containers import (
     GCM_TAG_BYTES,
     HybridCiphertext,
     LayeredAbeCiphertext,
-    parse_header,
 )
 from .errors import AeadTagFailure, EmptyPlaintext, FoCheckFailed, MalformedCiphertext
 from .hashing import fo_hash
@@ -51,9 +50,8 @@ def hybrid_encrypt(mpk: MasterPublicKey, ap1: AccessPolicy, plaintext: bytes,
     policy_text = ap1.canonical()
     u = encapsulation_randomness(r, sym_key, policy_text)
     base = abe_encrypt(mpk, ap1, sym_key + r, u)
-    aad = extract_header(base)
     nonce = r[:GCM_NONCE_BYTES]
-    sealed = AESGCM(sym_key).encrypt(nonce, plaintext, aad)
+    sealed = AESGCM(sym_key).encrypt(nonce, plaintext, base.header)
     record = AesGcmRecord(nonce=nonce, body=sealed[:-GCM_TAG_BYTES],
                           tag=sealed[-GCM_TAG_BYTES:])
     return HybridCiphertext(ct_aes=record,
@@ -79,19 +77,14 @@ def fo_decrypt(mpk: MasterPublicKey, sk: UserSecretKey, base_ct: AbeCiphertext,
     if len(material) != SYM_KEY_BYTES + R_BYTES:
         raise FoCheckFailed("decapsulated material has wrong width")
     sym_key, r = material[:SYM_KEY_BYTES], material[SYM_KEY_BYTES:]
-    try:
-        _, policy_text, _, _ = parse_header(base_ct.header)
-        policy = parse_policy(policy_text)
-    except Exception as exc:
-        raise FoCheckFailed(f"header rejected: {exc}") from exc
+    _, policy_text, _, _ = base_ct.header_fields
     u = encapsulation_randomness(r, sym_key, policy_text)
-    reencrypted = abe_encrypt(mpk, policy, material, u)
+    reencrypted = abe_encrypt(mpk, parse_policy(policy_text), material, u)
     if reencrypted.header != base_ct.header or reencrypted.body != base_ct.body:
         raise FoCheckFailed("re-encryption does not match received ciphertext")
     if ct_aes.nonce != r[:GCM_NONCE_BYTES]:
         raise AeadTagFailure("payload nonce does not match encapsulated r")
-    aad = base_ct.header
     try:
-        return AESGCM(sym_key).decrypt(ct_aes.nonce, ct_aes.body + ct_aes.tag, aad)
+        return AESGCM(sym_key).decrypt(ct_aes.nonce, ct_aes.body + ct_aes.tag, base_ct.header)
     except InvalidTag:
         raise AeadTagFailure("payload failed authentication") from None

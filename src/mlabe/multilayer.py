@@ -80,17 +80,22 @@ def add_layers(mpk: MasterPublicKey, ct: LayeredAbeCiphertext,
     return LayeredAbeCiphertext(body=body, layer_policies=tuple(texts))
 
 
+def _open_layer(body: bytes) -> tuple[AbeCiphertext, bytes, bytes]:
+    """(kem, nonce, sealed) of one layer container; raises MalformedCiphertext."""
+    _, (kem_bytes, nonce, sealed) = unpack_container(body, containers.KIND_LAYER, 3)
+    kem = AbeCiphertext.from_bytes(kem_bytes)
+    if len(nonce) != GCM_NONCE_BYTES:
+        raise MalformedCiphertext("layer nonce has wrong width")
+    return kem, nonce, sealed
+
+
 def _peel_one(mpk: MasterPublicKey, sk: UserSecretKey, body: bytes,
-              layer_index: int, expected_policy: str | None = None) -> bytes:
+              layer_index: int, expected_policy: str) -> bytes:
     try:
-        _, (kem_bytes, nonce, sealed) = unpack_container(body, containers.KIND_LAYER, 3)
-        kem = AbeCiphertext.from_bytes(kem_bytes)
-        if len(nonce) != GCM_NONCE_BYTES:
-            raise MalformedCiphertext("layer nonce has wrong width")
-        if expected_policy is not None:
-            _, actual_policy, _, _ = containers.parse_header(kem.header)
-            if actual_policy != expected_policy:
-                raise MalformedCiphertext("layer policy disagrees with audit metadata")
+        kem, nonce, sealed = _open_layer(body)
+        _, actual_policy, _, _ = kem.header_fields
+        if actual_policy != expected_policy:
+            raise MalformedCiphertext("layer policy disagrees with audit metadata")
     except MalformedCiphertext as exc:
         raise MalformedLayer(f"layer {layer_index}: {exc}") from exc
     try:
@@ -154,9 +159,8 @@ def outer_policy_text(ct: LayeredAbeCiphertext) -> str | None:
     if ct.n_layers == 0:
         return None
     try:
-        _, (kem_bytes, _, _) = unpack_container(ct.body, containers.KIND_LAYER, 3)
-        kem = AbeCiphertext.from_bytes(kem_bytes)
-        _, policy_text, _, _ = containers.parse_header(kem.header)
+        kem, _, _ = _open_layer(ct.body)
+        _, policy_text, _, _ = kem.header_fields
         return policy_text
     except MalformedCiphertext as exc:
         raise MalformedLayer(str(exc)) from exc

@@ -157,6 +157,15 @@ class TestDecrypt:
         with pytest.raises(MalformedCiphertext):
             abe_decrypt(master_pair.mpk, key, broken)
 
+    def test_unsatisfied_key_on_truncated_share_block(self, master_pair):
+        """The share block is checked before the single policy walk, so
+        damage is reported ahead of an unsatisfied key; both fail closed."""
+        key = issue(master_pair, {"B"})
+        ct = abe_encrypt(master_pair.mpk, parse_policy("A"), b"m", U)
+        broken = AbeCiphertext(header=ct.header, body=ct.body[:20])
+        with pytest.raises(MalformedCiphertext):
+            abe_decrypt(master_pair.mpk, key, broken)
+
     def test_backend_mismatch(self, master_pair):
         key = issue(master_pair, {"A"})
         wrong = UserSecretKey(backend_id=9, key_id=key.key_id,

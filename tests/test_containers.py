@@ -17,6 +17,7 @@ from mlabe.containers import (
     HybridCiphertext,
     LayeredAbeCiphertext,
     pack_container,
+    unpack_container,
 )
 from mlabe.errors import MalformedCiphertext, MalformedLayer
 from mlabe.hybrid import hybrid_encrypt
@@ -77,3 +78,17 @@ def test_outer_policy_of_empty_layer_fails_closed():
                               layer_policies=("A",))
     with pytest.raises(MalformedLayer):
         outer_policy_text(ct)
+
+
+def test_outer_policy_of_short_nonce_layer_fails_closed(master_pair):
+    """The outer policy is read through the same layer reader as peeling,
+    so a layer whose nonce is 11 bytes wide is malformed here too."""
+    ct = hybrid_encrypt(master_pair.mpk, parse_policy("A"), b"payload", make_rng("nonce"))
+    layered = add_layers(master_pair.mpk, ct.ct_abe, [parse_policy("C")])
+    _, (kem, nonce, sealed) = unpack_container(layered.body, KIND_LAYER, 3)
+    assert outer_policy_text(layered) == "C"
+    short = LayeredAbeCiphertext(
+        body=pack_container(KIND_LAYER, 1, [kem, nonce[:11], sealed]),
+        layer_policies=layered.layer_policies)
+    with pytest.raises(MalformedLayer):
+        outer_policy_text(short)

@@ -3,6 +3,7 @@ time gate, and wire-level confidentiality."""
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
@@ -22,7 +23,7 @@ from mlabe.errors import (
 )
 from mlabe.exchange.services import Consumer, DataOwner, Deployment
 from mlabe.exchange.storage import ManualClock
-from mlabe.exchange.transport import ServiceClient, TransportTap
+from mlabe.exchange.transport import ServiceClient, ServiceServer, TransportTap
 from mlabe.policy import TIMESTAMP_ATTRIBUTE, parse_policy
 
 
@@ -53,6 +54,16 @@ class TestAttributeAuthority:
         mpk_bytes = first.aa.mpk_bytes()
         second = Deployment(tmp_path / "d", "pw", clock=ManualClock())
         assert second.aa.mpk_bytes() == mpk_bytes
+
+    def test_config_changes_survive_reopen(self, tmp_path):
+        Deployment(tmp_path / "d", "pw", clock=ManualClock(), allowlist=ALLOW)
+        Deployment(tmp_path / "d", "pw", clock=ManualClock(),
+                   allowlist={"carol": ["Staff"]}, admin_ids={"root"})
+        third = Deployment(tmp_path / "d", "pw", clock=ManualClock())
+        assert third.allowlist["carol"] == ["Staff"]
+        assert third.allowlist["bob"] == ["Mechanic"]
+        assert third.admin_ids == {"admin", "root"}
+        assert not list((tmp_path / "d").glob("*.tmp"))
 
     def test_wrong_passphrase_rejected(self, tmp_path):
         Deployment(tmp_path / "d", "right", clock=ManualClock(), allowlist=ALLOW)
@@ -328,6 +339,25 @@ class TestWire:
         with pytest.raises(Unauthorized):
             client("aa", caller="mallory").request(
                 "POST /keygen", {"attributes": ["Staff"]})
+
+    @pytest.mark.parametrize("body", [b"5", b"[1]", b'"s"'])
+    def test_non_object_frame_gets_error_frame(self, body):
+        """A well-formed frame whose JSON is not an object is answered with
+        an ExchangeError frame, and the service keeps serving."""
+        server = ServiceServer("probe", {}).start()
+        try:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(struct.pack(">I", len(body)) + body)
+                prefix = sock.recv(4, socket.MSG_WAITALL)
+                assert len(prefix) == 4, "connection closed without a reply"
+                (length,) = struct.unpack(">I", prefix)
+                reply = json.loads(sock.recv(length, socket.MSG_WAITALL))
+            assert reply["ok"] is False
+            assert reply["error"] == "ExchangeError"
+            health = ServiceClient(server.address).request("GET /health")
+            assert health["status"] == "ok"
+        finally:
+            server.stop()
 
     def test_concurrent_served_round_trips(self, deployment):
         """Three threads each publish and fetch four payloads over TCP."""

@@ -8,7 +8,7 @@ import pytest
 
 from support import ALPHABET, make_rng, oracle_eval, random_policy
 
-from mlabe.abe import abe_decrypt, abe_encrypt
+from mlabe.abe import abe_decrypt, abe_encrypt, draw_entropy
 from mlabe.containers import AesGcmRecord, HybridCiphertext
 from mlabe.errors import (
     AeadTagFailure,
@@ -54,10 +54,18 @@ class TestEncrypt:
         with pytest.raises(EmptyPlaintext):
             hybrid_encrypt(master_pair.mpk, parse_policy("A"), b"", make_rng("x"))
 
-    def test_entropy_failure(self, master_pair):
+    @pytest.mark.parametrize("drawn", [b"short", None, 5, "xxxx"],
+                             ids=["short-bytes", "none", "int", "str"])
+    def test_entropy_failure(self, master_pair, drawn):
+        """Anything but bytes of the asked length is an EntropyFailure,
+        never a raw TypeError."""
         with pytest.raises(EntropyFailure):
             hybrid_encrypt(master_pair.mpk, parse_policy("A"), b"m",
-                           lambda n: b"short")
+                           lambda n: drawn)
+
+    def test_entropy_failure_names_non_bytes_type(self):
+        with pytest.raises(EntropyFailure, match="returned str"):
+            draw_entropy(lambda n: "xxxx", 4)
 
     def test_nonce_is_leading_bits_of_r(self, master_pair):
         ct = _encrypt(master_pair)

@@ -173,6 +173,24 @@ class TestParsedKeyMap:
             with pytest.raises(MalformedLayer):
                 peel_layers(master_pair.mpk, broken, layered, 1)
 
+    @pytest.mark.parametrize("attrs, material_attrs", [
+        ({"A", "B"}, {"A"}),       # attributes claim B, material lacks it
+        ({"A"}, {"A", "B"}),       # material carries B, attributes lack it
+    ], ids=["attrs-exceed-material", "material-exceeds-attrs"])
+    def test_material_disagreeing_with_attributes_fails_closed(
+            self, master_pair, attrs, material_attrs):
+        """Leaf access is decided from the parsed material, so a key whose
+        material names other attributes than its attribute set is malformed,
+        whichever side holds the layer's attribute."""
+        ct = _base(master_pair)
+        layered = add_layers(master_pair.mpk, ct.ct_abe, [parse_policy("B")])
+        key = dataclasses.replace(
+            issue(master_pair, attrs),
+            material=issue(master_pair, material_attrs).material)
+        for _ in range(2):
+            with pytest.raises(MalformedLayer):
+                peel_layers(master_pair.mpk, key, layered, 1)
+
     def test_map_is_invisible_to_repr_bytes_and_equality(self, master_pair):
         ct = _base(master_pair)
         layered = add_layers(master_pair.mpk, ct.ct_abe, [parse_policy("C")])
