@@ -204,7 +204,12 @@ class AttributeAuthority:
 # ---------------------------------------------------------------------------
 
 class InternalCtEngine:
-    """Adds and maintains the updatable policy layers; owns the CT store."""
+    """Adds and maintains the updatable policy layers; owns the CT store.
+
+    Update passes run one at a time, so a later pass re-layers from the
+    records an earlier one wrote and every record ends at the newest
+    policy version. Publishes do not wait for an update pass.
+    """
 
     def __init__(self, ct_store: CtStore, policy_store: PolicyStore,
                  mpk: MasterPublicKey, engine_key: UserSecretKey,
@@ -214,6 +219,7 @@ class InternalCtEngine:
         self._mpk = mpk
         self._engine_key = engine_key
         self._clock = clock
+        self._update_lock = threading.Lock()
 
     def _stored_layer_policies(self, record_name: str) -> tuple[list[AccessPolicy], int]:
         record = self._policy_store.get(record_name)
@@ -231,22 +237,24 @@ class InternalCtEngine:
             layered.layer_policies, self._clock)
 
     def on_policy_update(self, policy_name: str, version: int) -> list[str]:
-        """Re-layer every ciphertext published under the named policy."""
-        policies, current_version = self._stored_layer_policies(policy_name)
-        if version > current_version:
-            raise NotFound(f"policy {policy_name} has no version {version}")
-        updated = []
-        for record in self._ct_store.by_policy(policy_name):
-            ct = HybridCiphertext.from_bytes(record.ct)
-            relayered = update_outer_layers(
-                self._mpk, self._engine_key, ct.ct_abe, keep=0,
-                new_policies=policies)
-            new_ct = HybridCiphertext(ct_aes=ct.ct_aes, ct_abe=relayered)
-            self._ct_store.update(record.id, new_ct.to_bytes(), new_ct.n_layers,
-                                  current_version, relayered.layer_policies,
-                                  self._clock)
-            updated.append(record.id)
-        return updated
+        """Re-layer every ciphertext published under the named policy to
+        its current version."""
+        with self._update_lock:
+            policies, current_version = self._stored_layer_policies(policy_name)
+            if version > current_version:
+                raise NotFound(f"policy {policy_name} has no version {version}")
+            updated = []
+            for record in self._ct_store.by_policy(policy_name):
+                ct = HybridCiphertext.from_bytes(record.ct)
+                relayered = update_outer_layers(
+                    self._mpk, self._engine_key, ct.ct_abe, keep=0,
+                    new_policies=policies)
+                new_ct = HybridCiphertext(ct_aes=ct.ct_aes, ct_abe=relayered)
+                self._ct_store.update(record, new_ct.to_bytes(), new_ct.n_layers,
+                                      current_version, relayered.layer_policies,
+                                      self._clock)
+                updated.append(record.id)
+            return updated
 
     def routes(self) -> dict:
         def publish(params: dict, caller: str) -> dict:

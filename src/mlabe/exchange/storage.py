@@ -1,19 +1,32 @@
 """Persistent stores for the exchange roles.
 
 Everything is file-backed with write-temp-then-rename updates, so a crash
-mid-write leaves either the old or the new record, never a hybrid.
-Ciphertext records are content-addressed by the hash of the container
-bytes at publication; that id stays the record's stable handle across
-policy updates, while a separate digest always tracks the current bytes
-and is verified on every fetch.
+mid-write leaves either the old or the new record, never a hybrid. Each
+write goes through its own temporary file, so writers sharing a directory
+never write into one another's file.
+
+A ciphertext record is one JSON object, ``<id>.json``, holding the
+container bytes as base64 (``ct_b64``) beside eight metadata fields.
+Records are content-addressed by the hash of the container bytes at
+publication; that id stays the record's stable handle across policy
+updates, while a separate digest always tracks the current bytes and is
+verified on every read.
+
+An update re-layers a record from the copy the scan (``by_policy``) has
+just read and verified: ``CtStore.update`` derives the replacement from
+that record and writes it without reading the file again. The caller
+serializes update passes, so no newer version can land in between.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
+import dataclasses
 import hashlib
 import json
 import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -52,14 +65,24 @@ class ManualClock:
 
 
 def atomic_write(path: Path, data: bytes) -> None:
-    """Durably replace the file at `path` with `data`."""
-    tmp = path.with_name(path.name + ".tmp")
+    """Durably replace the file at `path` with `data`.
+
+    The data goes to a fresh temporary file beside `path`, which is then
+    renamed over it; on any failure the temporary file is removed.
+    """
     try:
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                   suffix=".tmp")
+        try:
+            with open(fd, "wb") as handle:
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise StoreFailure(f"write to {path} failed: {exc}") from exc
 
@@ -85,9 +108,8 @@ class CtRecord:
     content_digest: str
 
     def to_json(self) -> bytes:
-        return json.dumps({
+        head = json.dumps({
             "id": self.id,
-            "ct_b64": base64.b64encode(self.ct).decode("ascii"),
             "n_layers": self.n_layers,
             "created_at": self.created_at,
             "updated_at": self.updated_at,
@@ -96,6 +118,9 @@ class CtRecord:
             "layer_policy_digest": self.layer_policy_digest,
             "content_digest": self.content_digest,
         }, sort_keys=True).encode("utf-8")
+        # Base64 text never needs JSON escaping, so it is appended as is.
+        return b"".join((head[:-1], b', "ct_b64": "',
+                         base64.b64encode(self.ct), b'"}'))
 
     @classmethod
     def from_json(cls, data: bytes) -> "CtRecord":
@@ -152,19 +177,22 @@ class CtStore:
             atomic_write(self._path(record_id), record.to_json())
         return record
 
-    def update(self, record_id: str, ct: bytes, n_layers: int,
+    def update(self, record: CtRecord, ct: bytes, n_layers: int,
                policy_version: int, layer_policies: tuple[str, ...],
                clock: LogicalClock) -> CtRecord:
-        with self._lock_for(record_id):
-            record = self._load(record_id)
-            record.ct = ct
-            record.n_layers = n_layers
-            record.policy_version = policy_version
-            record.layer_policy_digest = layer_policy_digest(layer_policies)
-            record.content_digest = content_id(ct)
-            record.updated_at = max(clock.now(), record.updated_at)
-            atomic_write(self._path(record_id), record.to_json())
-            return record
+        """Replace `record`, as just read through `get`, with new bytes.
+
+        The file is not read again: callers serialize updates of a record,
+        so `record` is still its stored state. `record` is not mutated.
+        """
+        updated = dataclasses.replace(
+            record, ct=ct, n_layers=n_layers, policy_version=policy_version,
+            layer_policy_digest=layer_policy_digest(layer_policies),
+            content_digest=content_id(ct),
+            updated_at=max(clock.now(), record.updated_at))
+        with self._lock_for(record.id):
+            atomic_write(self._path(record.id), updated.to_json())
+        return updated
 
     def _load(self, record_id: str) -> CtRecord:
         path = self._path(record_id)
@@ -251,33 +279,60 @@ class PolicyStore:
 # ---------------------------------------------------------------------------
 
 class SecurityEventLog:
-    """Append-only incident log with strictly increasing timestamps."""
+    """Append-only incident log with strictly increasing timestamps.
+
+    Every read picks up the whole lines appended to the file since the
+    last read, so incidents recorded by another log object on the same
+    file (another deployment on the same directory) are seen.
+    """
 
     def __init__(self, path: Path):
         self._path = Path(path)
         self._lock = threading.Lock()
         self._events: list[tuple[int, str]] = []
-        if self._path.exists():
-            for line in self._path.read_text("utf-8").splitlines():
-                if line.strip():
-                    obj = json.loads(line)
-                    self._events.append((obj["t_incident"], obj["reason"]))
+        self._offset = 0  # bytes of the file already parsed into _events
+        self._refresh()
+
+    def _refresh(self) -> None:
+        """Parse the whole lines appended since the last read; hold _lock."""
+        try:
+            if os.stat(self._path).st_size <= self._offset:
+                return
+            with open(self._path, "rb") as handle:
+                handle.seek(self._offset)
+                tail = handle.read()
+        except FileNotFoundError:
+            return
+        complete = tail[:tail.rfind(b"\n") + 1]
+        for line in complete.decode("utf-8").splitlines():
+            if line.strip():
+                obj = json.loads(line)
+                self._events.append((obj["t_incident"], obj["reason"]))
+        self._offset += len(complete)
+
+    def _current(self) -> int:
+        return self._events[-1][0] if self._events else 0
 
     @property
     def current(self) -> int:
         """Timestamp of the last incident, 0 when none was ever recorded."""
-        return self._events[-1][0] if self._events else 0
+        with self._lock:
+            self._refresh()
+            return self._current()
 
     @property
     def events(self) -> list[tuple[int, str]]:
-        return list(self._events)
+        with self._lock:
+            self._refresh()
+            return list(self._events)
 
     def record(self, t_incident: int, reason: str) -> int:
         with self._lock:
-            if t_incident <= self.current:
+            self._refresh()
+            if t_incident <= self._current():
                 raise StoreFailure(
                     f"incident timestamps must strictly increase "
-                    f"({t_incident} <= {self.current})")
+                    f"({t_incident} <= {self._current()})")
             line = json.dumps({"t_incident": t_incident, "reason": reason},
                               sort_keys=True) + "\n"
             self._path.parent.mkdir(parents=True, exist_ok=True)
@@ -285,5 +340,5 @@ class SecurityEventLog:
                 handle.write(line)
                 handle.flush()
                 os.fsync(handle.fileno())
-            self._events.append((t_incident, reason))
+            self._refresh()
             return t_incident

@@ -203,6 +203,35 @@ class TestPolicyUpdate:
         assert Consumer(deployment.mpk, key_new).fetch_and_decrypt(
             record_id, deployment.client("external")) == plaintext
 
+    def test_concurrent_updates_converge(self, tmp_path, monkeypatch):
+        """An update that starts while another is re-layering still leaves
+        every record at the newest policy version."""
+        import mlabe.exchange.services as services
+
+        dep = Deployment(tmp_path / "dep", "pw", clock=ManualClock(1_000),
+                         rng=make_rng("converge"))
+        dep.admin.define_policy("admin", "vc", ["(A)"])
+        owner = DataOwner(dep.mpk, make_rng("do"))
+        ids = [owner.publish(b"record %d" % i, parse_policy("(X)"), "vc",
+                             dep.client("internal")) for i in range(3)]
+
+        real_update = services.update_outer_layers
+        second = threading.Thread(
+            target=dep.admin.update_policy, args=("admin", "vc", ["(C)"]))
+
+        def update_starting_second(*args, **kwargs):
+            if second.ident is None:
+                second.start()
+                second.join(timeout=1)
+            return real_update(*args, **kwargs)
+        monkeypatch.setattr(services, "update_outer_layers", update_starting_second)
+
+        dep.admin.update_policy("admin", "vc", ["(B)"])
+        second.join(timeout=30)
+        assert not second.is_alive()
+        assert dep.policy_store.get("vc").version == 3
+        assert [dep.ct_store.get(i).policy_version for i in ids] == [3, 3, 3]
+
     def test_update_requires_existing_policy(self, deployment):
         with pytest.raises(NotFound):
             deployment.admin.update_policy("admin", "ghost", ["(A)"])
@@ -255,6 +284,23 @@ class TestTimeGate:
         assert after.attrs.issuance_timestamp == t_incident + 1
         assert Consumer(deployment.mpk, after).fetch_and_decrypt(
             record_id, deployment.client("external")) == plaintext
+
+    def test_incident_from_another_deployment_gates_fetches(self, tmp_path):
+        clock = ManualClock(1_000)
+        first = Deployment(tmp_path / "dep", "pw", clock=clock, allowlist=ALLOW,
+                           rng=make_rng("first"))
+        first.admin.define_policy("admin", "vc", ["(Staff)"])
+        second = Deployment(tmp_path / "dep", "pw", clock=clock)
+        owner = DataOwner(first.mpk, make_rng("do"))
+        record_id = owner.publish(b"gated " * 8, parse_policy("(Mechanic)"),
+                                  "vc", first.client("internal"))
+        key = first.issue_key("alice", ["Mechanic", "Staff"])
+        clock.advance(5)
+        second.admin.record_incident("admin", "seen by the first deployment")
+        assert first.event_log.current == clock.now()
+        with pytest.raises(PolicyUnsatisfied):
+            Consumer(first.mpk, key).fetch_and_decrypt(
+                record_id, first.client("external"))
 
     def test_incident_requires_admin(self, deployment):
         with pytest.raises(Unauthorized):

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import base64
+import dataclasses
 import json
+import os
+import threading
 
 import pytest
 
 from mlabe.errors import NotFound, StoreFailure
 from mlabe.exchange.storage import (
+    CtRecord,
     CtStore,
     ManualClock,
     PolicyStore,
@@ -33,7 +38,10 @@ class TestCtStore:
         clock = ManualClock(100)
         record = store.put_new(b"v1", 1, "vc", 1, ("(A)",), clock)
         clock.advance(5)
-        updated = store.update(record.id, b"v2-bytes", 1, 2, ("(A AND B)",), clock)
+        read = store.get(record.id)
+        snapshot = dataclasses.replace(read)
+        updated = store.update(read, b"v2-bytes", 1, 2, ("(A AND B)",), clock)
+        assert read == snapshot  # the caller's record is not mutated
         assert updated.id == record.id
         assert updated.content_digest == content_id(b"v2-bytes")
         assert updated.created_at == 100
@@ -41,6 +49,19 @@ class TestCtStore:
         assert updated.policy_version == 2
         again = store.get(record.id)
         assert again.ct == b"v2-bytes"
+
+    def test_to_json_appends_base64_last(self):
+        record = CtRecord(
+            id="ab" * 32, ct=bytes(range(256)) * 3, n_layers=3, created_at=7,
+            updated_at=9, policy_name='vc "quoted" \\ é', policy_version=2,
+            layer_policy_digest="cd" * 32, content_digest="ef" * 32)
+        data = record.to_json()
+        assert CtRecord.from_json(data) == record
+        fields = {f.name: getattr(record, f.name)
+                  for f in dataclasses.fields(record) if f.name != "ct"}
+        expected = dict(fields, ct_b64=base64.b64encode(record.ct).decode("ascii"))
+        assert json.loads(data) == expected
+        assert len(data) == len(json.dumps(expected, sort_keys=True))
 
     def test_missing_record(self, tmp_path):
         with pytest.raises(NotFound):
@@ -71,7 +92,35 @@ class TestAtomicWrite:
         atomic_write(target, b"first")
         atomic_write(target, b"second")
         assert target.read_bytes() == b"second"
-        assert not target.with_name("record.json.tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
+
+    def test_concurrent_writers_of_one_path(self, tmp_path, monkeypatch):
+        """Two writers meeting at fsync both succeed; one payload wins whole."""
+        target = tmp_path / "r.json"
+        barrier = threading.Barrier(2, timeout=5)
+        real_fsync = os.fsync
+
+        def meeting_fsync(fd):
+            barrier.wait()
+            real_fsync(fd)
+        monkeypatch.setattr(os, "fsync", meeting_fsync)
+        payloads = [b"a" * 4096, b"b" * 1000]
+        errors = []
+
+        def write(data):
+            try:
+                atomic_write(target, data)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+        threads = [threading.Thread(target=write, args=(p,)) for p in payloads]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert errors == []
+        assert target.read_bytes() in payloads
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
     def test_interrupted_write_leaves_old_content(self, tmp_path, monkeypatch):
         target = tmp_path / "record.json"
@@ -85,6 +134,7 @@ class TestAtomicWrite:
             atomic_write(target, b"new")
         monkeypatch.undo()
         assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
 
 
 class TestPolicyStore:
@@ -135,6 +185,30 @@ class TestSecurityEventLog:
         reloaded = SecurityEventLog(path)
         assert reloaded.current == 77
         assert reloaded.events == [(77, "breach")]
+
+    def test_sees_incidents_recorded_through_another_log(self, tmp_path):
+        path = tmp_path / "incidents.log"
+        a = SecurityEventLog(path)
+        b = SecurityEventLog(path)
+        assert a.current == 0
+        b.record(50, "seen by the other log")
+        assert a.current == 50
+        assert a.events == [(50, "seen by the other log")]
+        with pytest.raises(StoreFailure):
+            a.record(50, "not newer than the other log's incident")
+        a.record(60, "after")
+        assert b.events == [(50, "seen by the other log"), (60, "after")]
+
+    def test_partial_line_waits_for_its_newline(self, tmp_path):
+        path = tmp_path / "incidents.log"
+        log = SecurityEventLog(path)
+        with open(path, "ab") as handle:
+            handle.write(b'{"reason": "x", "t_incident": 5}\n{"reason": "y", ')
+        assert log.events == [(5, "x")]
+        with open(path, "ab") as handle:
+            handle.write(b'"t_incident": 9}\n')
+        assert log.current == 9
+        assert log.events == [(5, "x"), (9, "y")]
 
 
 class TestClocks:
