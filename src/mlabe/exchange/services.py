@@ -2,10 +2,14 @@
 
 Producers encrypt locally and hand the result to the internal engine,
 which adds the deployment's updatable policy layers and stores the
-ciphertext. Policy updates replace those layers without touching the
-payload or involving the producer. Consumers fetch through the external
-engine, which wraps a per-request time-gate layer requiring a key newer
-than the last recorded security incident.
+ciphertext. Each stored record carries the version of the policy it was
+layered under. Defining a new version of a policy ends with one re-layer
+pass that replaces the layers of every record behind that version,
+without touching the payload or involving the producer; the same pass
+finishes a publish that raced the definition and, through
+``POST /notify``, an earlier pass that failed part-way. Consumers fetch
+through the external engine, which wraps a per-request time-gate layer
+requiring a key newer than the last recorded security incident.
 
 Every stored (updatable) layer policy is augmented to
 ``(AP_i OR ENGINE_UPDATE)`` and the authority issues the internal engine
@@ -39,7 +43,6 @@ from ..abe import (
 from ..containers import HybridCiphertext
 from ..errors import (
     AlreadyInitialized,
-    NotFound,
     NotInitialized,
     Unauthorized,
 )
@@ -206,9 +209,12 @@ class AttributeAuthority:
 class InternalCtEngine:
     """Adds and maintains the updatable policy layers; owns the CT store.
 
-    Update passes run one at a time, so a later pass re-layers from the
-    records an earlier one wrote and every record ends at the newest
-    policy version. Publishes do not wait for an update pass.
+    ``on_policy_update`` is the one re-layer pass: it brings every record
+    that is behind its policy's current version up to date, and leaves
+    current records alone. Passes run one at a time, so a later pass sees
+    what an earlier one wrote, and running a pass again is harmless. A
+    policy definition, a retried notification and a publish that raced an
+    update all converge through it.
     """
 
     def __init__(self, ct_store: CtStore, policy_store: PolicyStore,
@@ -227,32 +233,39 @@ class InternalCtEngine:
         return policies, record.version
 
     def publish(self, ct1_bytes: bytes, policy_name: str) -> CtRecord:
-        """Wrap CT_1 in the deployment's layers and store the result."""
+        """Wrap CT_1 in the deployment's layers and store the result.
+
+        If the policy moved while the layers were added, the record is
+        behind; the re-layer pass brings it up to date before returning.
+        """
         ct1 = HybridCiphertext.from_bytes(ct1_bytes)
         policies, version = self._stored_layer_policies(policy_name)
         layered = add_layers(self._mpk, ct1.ct_abe, policies) if policies else ct1.ct_abe
         ct2 = HybridCiphertext(ct_aes=ct1.ct_aes, ct_abe=layered)
-        return self._ct_store.put_new(
+        record = self._ct_store.put_new(
             ct2.to_bytes(), ct2.n_layers, policy_name, version,
             layered.layer_policies, self._clock)
+        if self._policy_store.get(policy_name).version != version:
+            self.on_policy_update(policy_name)
+            record = self._ct_store.get(record.id)
+        return record
 
-    def on_policy_update(self, policy_name: str, version: int) -> list[str]:
-        """Re-layer every ciphertext published under the named policy to
-        its current version."""
+    def on_policy_update(self, policy_name: str) -> list[str]:
+        """Re-layer the records under the named policy whose stored version
+        is below its current one; returns their ids."""
         with self._update_lock:
-            policies, current_version = self._stored_layer_policies(policy_name)
-            if version > current_version:
-                raise NotFound(f"policy {policy_name} has no version {version}")
+            policies, version = self._stored_layer_policies(policy_name)
             updated = []
             for record in self._ct_store.by_policy(policy_name):
+                if record.policy_version >= version:
+                    continue
                 ct = HybridCiphertext.from_bytes(record.ct)
                 relayered = update_outer_layers(
                     self._mpk, self._engine_key, ct.ct_abe, keep=0,
                     new_policies=policies)
                 new_ct = HybridCiphertext(ct_aes=ct.ct_aes, ct_abe=relayered)
                 self._ct_store.update(record, new_ct.to_bytes(), new_ct.n_layers,
-                                      current_version, relayered.layer_policies,
-                                      self._clock)
+                                      version, relayered.layer_policies, self._clock)
                 updated.append(record.id)
             return updated
 
@@ -262,8 +275,7 @@ class InternalCtEngine:
             return {"id": record.id, "n_layers": record.n_layers}
 
         def notify(params: dict, caller: str) -> dict:
-            ids = self.on_policy_update(params["policy_name"], params["version"])
-            return {"updated": ids}
+            return {"updated": self.on_policy_update(params["policy_name"])}
 
         return {"POST /publish": publish, "POST /notify": notify}
 
@@ -308,13 +320,14 @@ class AdminService:
     """Policy definition/update and incident recording.
 
     The system-manager and policy-engine responsibilities are collapsed
-    into one service; policy updates are pushed to the internal engine
-    through the injected notifier.
+    into one service. Every policy definition ends with the internal
+    engine's re-layer pass, run through the injected notifier, so the
+    records under a redefined policy move to its new version.
     """
 
     def __init__(self, policy_store: PolicyStore, event_log: SecurityEventLog,
                  clock: LogicalClock, admin_ids: set[str],
-                 notifier: Callable[[str, int], list[str]]):
+                 notifier: Callable[[str], list[str]]):
         self._policy_store = policy_store
         self._event_log = event_log
         self._clock = clock
@@ -325,19 +338,20 @@ class AdminService:
         if caller not in self._admin_ids:
             raise Unauthorized(f"caller {caller!r} is not a system manager")
 
-    def define_policy(self, caller: str, name: str, layers: list[str]) -> int:
+    def define_policy(self, caller: str, name: str, layers: list[str]) -> dict:
+        """Store the next version of the named policy and re-layer the
+        records that are behind it."""
         self._require_admin(caller)
         canonical = [parse_policy(text).canonical() for text in layers]
-        record = self._policy_store.define(name, canonical, self._clock)
-        return record.version
+        version = self._policy_store.define(name, canonical, self._clock).version
+        # A first version has no records yet: publish refuses unknown names.
+        return {"version": version, "updated": self._notifier(name) if version > 1 else []}
 
     def update_policy(self, caller: str, name: str, layers: list[str]) -> dict:
-        """Define the new version and push it to the internal engine."""
+        """`define_policy` for a policy that must already exist."""
         self._require_admin(caller)
         self._policy_store.get(name)  # must already exist
-        version = self.define_policy(caller, name, layers)
-        updated = self._notifier(name, version)
-        return {"version": version, "updated": updated}
+        return self.define_policy(caller, name, layers)
 
     def record_incident(self, caller: str, reason: str) -> int:
         self._require_admin(caller)
@@ -346,8 +360,8 @@ class AdminService:
 
     def routes(self) -> dict:
         return {
-            "POST /policy": lambda params, caller: {
-                "version": self.define_policy(caller, params["name"], params["layers"])},
+            "POST /policy": lambda params, caller: self.define_policy(
+                caller, params["name"], params["layers"]),
             "POST /policy/update": lambda params, caller: self.update_policy(
                 caller, params["name"], params["layers"]),
             "POST /incident": lambda params, caller: {

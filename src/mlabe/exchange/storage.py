@@ -12,10 +12,12 @@ publication; that id stays the record's stable handle across policy
 updates, while a separate digest always tracks the current bytes and is
 verified on every read.
 
-An update re-layers a record from the copy the scan (``by_policy``) has
-just read and verified: ``CtStore.update`` derives the replacement from
-that record and writes it without reading the file again. The caller
-serializes update passes, so no newer version can land in between.
+The engine's re-layer pass scans the records of one policy
+(``by_policy``) and rewrites only those whose ``policy_version`` is below
+the policy's current version. ``CtStore.update`` derives the replacement
+from the copy the scan has just read and verified, and writes it without
+reading the file again; the engine runs one pass at a time, so no newer
+version can land in between.
 """
 
 from __future__ import annotations

@@ -8,6 +8,9 @@ observe every frame that crosses the wire, which the test harness uses to
 prove that neither payload plaintext nor symmetric keys ever transit.
 ``dispatch`` maps a request to a response frame for both the TCP server
 and the in-process LocalClient, so both raise the same error classes.
+The server answers a whole frame that is not a UTF-8 JSON object with an
+ExchangeError frame, and drops a connection that stays idle past
+``CONNECTION_TIMEOUT_S``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from ..errors import EngineUnreachable, ERROR_CLASSES, ExchangeError, MlabeError
 Handler = Callable[[dict, str], Any]
 
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+# Seconds the server waits on each read or write of an accepted connection,
+# the same as the client's default timeout.
+CONNECTION_TIMEOUT_S = 10.0
 
 
 class TransportTap:
@@ -133,10 +139,12 @@ class ServiceServer:
 
         class _Handler(socketserver.BaseRequestHandler):
             def handle(self) -> None:
+                self.request.settimeout(CONNECTION_TIMEOUT_S)
                 try:
                     request = _recv_frame(self.request, outer._tap, f"{outer.name}<-")
-                except (ConnectionError, json.JSONDecodeError,
-                        struct.error, UnicodeDecodeError):
+                except ValueError:  # a whole frame that is not UTF-8 JSON
+                    request = None
+                except OSError:  # peer gone, oversized frame or idle past the deadline
                     return
                 response = dispatch(outer._routes, request)
                 try:

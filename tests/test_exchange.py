@@ -19,6 +19,7 @@ from mlabe.errors import (
     EngineUnreachable,
     NotFound,
     PolicyUnsatisfied,
+    StoreFailure,
     Unauthorized,
 )
 from mlabe.exchange.services import Consumer, DataOwner, Deployment
@@ -232,6 +233,104 @@ class TestPolicyUpdate:
         assert dep.policy_store.get("vc").version == 3
         assert [dep.ct_store.get(i).policy_version for i in ids] == [3, 3, 3]
 
+    def test_redefining_a_policy_relayers(self, deployment):
+        """POST /policy on an existing name moves its records to the new
+        version, so a key for the replaced layer no longer decrypts."""
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        plaintext = b"redefined payload " * 10
+        record_id = owner.publish(plaintext, parse_policy("(Mechanic)"),
+                                  "vc", deployment.client("internal"))
+        key_old = deployment.issue_key("alice", ["Mechanic", "Staff"])
+
+        result = deployment.client("admin", caller="admin").request(
+            "POST /policy", {"name": "vc", "layers": ["(Staff)", "(Mechanic AND Boss)"]})
+        assert result == {"version": 2, "updated": [record_id]}
+        assert deployment.ct_store.get(record_id).policy_version == 2
+        with pytest.raises(PolicyUnsatisfied):
+            Consumer(deployment.mpk, key_old).fetch_and_decrypt(
+                record_id, deployment.client("external"))
+        key_new = deployment.issue_key("alice", ["Mechanic", "Staff", "Boss"])
+        assert Consumer(deployment.mpk, key_new).fetch_and_decrypt(
+            record_id, deployment.client("external")) == plaintext
+
+    def test_pass_over_current_records_writes_nothing(self, deployment, monkeypatch):
+        import mlabe.exchange.storage as storage
+
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        for i in range(2):
+            owner.publish(b"record %d" % i, parse_policy("(Staff)"), "vc",
+                          deployment.client("internal"))
+        deployment.admin.update_policy("admin", "vc", ["(Boss)"])
+        before = {i: deployment.ct_store.get(i) for i in deployment.ct_store.ids()}
+
+        writes: list = []
+        real_write = storage.atomic_write
+        monkeypatch.setattr(storage, "atomic_write",
+                            lambda *args: writes.append(args) or real_write(*args))
+        assert deployment.internal.on_policy_update("vc") == []
+        assert deployment.client("internal").request(
+            "POST /notify", {"policy_name": "vc"}) == {"updated": []}
+        assert writes == []
+        assert {i: deployment.ct_store.get(i) for i in before} == before
+
+    def test_notify_finishes_a_partial_pass(self, deployment, monkeypatch):
+        """A pass cut short by a store failure leaves records behind; the
+        next notification re-layers exactly those."""
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        for i in range(3):
+            owner.publish(b"record %d" % i, parse_policy("(Staff)"), "vc",
+                          deployment.client("internal"))
+        ids = deployment.ct_store.ids()
+
+        real_update = deployment.ct_store.update
+        calls: list[str] = []
+
+        def failing_second(record, *args):
+            calls.append(record.id)
+            if len(calls) == 2:
+                raise StoreFailure("disk full")
+            return real_update(record, *args)
+        monkeypatch.setattr(deployment.ct_store, "update", failing_second)
+        with pytest.raises(StoreFailure):
+            deployment.admin.update_policy("admin", "vc", ["(Boss)"])
+        monkeypatch.undo()
+        assert [deployment.ct_store.get(i).policy_version for i in ids] == [2, 1, 1]
+
+        result = deployment.client("internal").request(
+            "POST /notify", {"policy_name": "vc"})
+        assert result == {"updated": ids[1:]}
+        assert [deployment.ct_store.get(i).policy_version for i in ids] == [2, 2, 2]
+
+    def test_publish_racing_an_update_ends_current(self, deployment, monkeypatch):
+        """An update that lands while a publish adds its layers leaves the
+        new record at the new version."""
+        import mlabe.exchange.services as services
+
+        real_add = services.add_layers
+        raced: list[dict] = []
+
+        def add_layers_racing_update(*args, **kwargs):
+            layered = real_add(*args, **kwargs)
+            if not raced:
+                raced.append(deployment.admin.update_policy(
+                    "admin", "vc", ["(Staff)", "(Mechanic AND Boss)"]))
+            return layered
+        monkeypatch.setattr(services, "add_layers", add_layers_racing_update)
+
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        plaintext = b"raced payload " * 10
+        record_id = owner.publish(plaintext, parse_policy("(Mechanic)"),
+                                  "vc", deployment.client("internal"))
+        assert raced == [{"version": 2, "updated": []}]
+        assert deployment.ct_store.get(record_id).policy_version == 2
+        key_old = deployment.issue_key("alice", ["Mechanic", "Staff"])
+        with pytest.raises(PolicyUnsatisfied):
+            Consumer(deployment.mpk, key_old).fetch_and_decrypt(
+                record_id, deployment.client("external"))
+        key_new = deployment.issue_key("alice", ["Mechanic", "Staff", "Boss"])
+        assert Consumer(deployment.mpk, key_new).fetch_and_decrypt(
+            record_id, deployment.client("external")) == plaintext
+
     def test_update_requires_existing_policy(self, deployment):
         with pytest.raises(NotFound):
             deployment.admin.update_policy("admin", "ghost", ["(A)"])
@@ -386,9 +485,9 @@ class TestWire:
             client("aa", caller="mallory").request(
                 "POST /keygen", {"attributes": ["Staff"]})
 
-    @pytest.mark.parametrize("body", [b"5", b"[1]", b'"s"'])
+    @pytest.mark.parametrize("body", [b"5", b"[1]", b'"s"', b"{not json", b"\xff\xfe"])
     def test_non_object_frame_gets_error_frame(self, body):
-        """A well-formed frame whose JSON is not an object is answered with
+        """A whole frame that is not a UTF-8 JSON object is answered with
         an ExchangeError frame, and the service keeps serving."""
         server = ServiceServer("probe", {}).start()
         try:
@@ -400,6 +499,21 @@ class TestWire:
                 reply = json.loads(sock.recv(length, socket.MSG_WAITALL))
             assert reply["ok"] is False
             assert reply["error"] == "ExchangeError"
+            health = ServiceClient(server.address).request("GET /health")
+            assert health["status"] == "ok"
+        finally:
+            server.stop()
+
+    def test_idle_connection_times_out(self, monkeypatch):
+        """The server drops a connection that sends nothing before the
+        deadline, and keeps serving."""
+        import mlabe.exchange.transport as transport
+
+        monkeypatch.setattr(transport, "CONNECTION_TIMEOUT_S", 0.2)
+        server = ServiceServer("probe", {}).start()
+        try:
+            with socket.create_connection(server.address, timeout=5) as idle:
+                assert idle.recv(1) == b""
             health = ServiceClient(server.address).request("GET /health")
             assert health["status"] == "ok"
         finally:
