@@ -1,14 +1,13 @@
 """Multi-layered CP-ABE toolkit and value-chain data-exchange harness.
 
 Library layers, bottom to top: ``policy`` (grammar and satisfaction),
-``abe`` (pluggable CP-ABE backends), ``hybrid`` (verified key
+``abe`` (the CP-ABE scheme), ``hybrid`` (verified key
 encapsulation + AEAD payload), ``multilayer`` (removable policy layers),
 ``exchange`` (roles, stores, transport), ``bench``/``cli`` (harness).
 """
 
 from .abe import (
     DEV_BACKEND_ID,
-    AbeBackend,
     MasterKeyPair,
     MasterPublicKey,
     MasterSecretKey,
@@ -18,7 +17,6 @@ from .abe import (
     extract_header,
     extract_policy,
     keygen,
-    register_backend,
     setup,
 )
 from .containers import (

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .abe import DEV_BACKEND_ID, abe_encrypt, get_backend, setup
+from .abe import BACKEND_NAME, DEV_BACKEND_ID, abe_encrypt, setup
 from .containers import LayeredAbeCiphertext
 from .errors import ConfigError
 from .hashing import counter_rng
@@ -91,11 +91,10 @@ def _conjunction(first: int, count: int) -> AccessPolicy:
 
 
 def _metadata(bench: str, config: BenchConfig) -> dict:
-    backend = get_backend(DEV_BACKEND_ID)
     return {
         "bench": bench,
-        "backend_id": backend.backend_id,
-        "backend": backend.name,
+        "backend_id": DEV_BACKEND_ID,
+        "backend": BACKEND_NAME,
         "config": asdict(config),
         "host": {"platform": platform.platform(), "python": platform.python_version()},
     }

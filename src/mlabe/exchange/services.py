@@ -7,9 +7,11 @@ layered under. Defining a new version of a policy ends with one re-layer
 pass that replaces the layers of every record behind that version,
 without touching the payload or involving the producer; the same pass
 finishes a publish that raced the definition and, through
-``POST /notify``, an earlier pass that failed part-way. Consumers fetch
-through the external engine, which wraps a per-request time-gate layer
-requiring a key newer than the last recorded security incident.
+``POST /notify``, an earlier pass that failed part-way. Passes are
+serialised across every deployment that shares the data directory, in
+one process or several. Consumers fetch through the external engine,
+which wraps a per-request time-gate layer requiring a key newer than the
+last recorded security incident.
 
 Every stored (updatable) layer policy is augmented to
 ``(AP_i OR ENGINE_UPDATE)`` and the authority issues the internal engine
@@ -211,10 +213,11 @@ class InternalCtEngine:
 
     ``on_policy_update`` is the one re-layer pass: it brings every record
     that is behind its policy's current version up to date, and leaves
-    current records alone. Passes run one at a time, so a later pass sees
-    what an earlier one wrote, and running a pass again is harmless. A
-    policy definition, a retried notification and a publish that raced an
-    update all converge through it.
+    current records alone. Passes hold the store's pass lock, so they run
+    one at a time across every deployment sharing the data directory; a
+    later pass sees what an earlier one wrote, and running a pass again
+    is harmless. A policy definition, a retried notification and a
+    publish that raced an update all converge through it.
     """
 
     def __init__(self, ct_store: CtStore, policy_store: PolicyStore,
@@ -225,7 +228,6 @@ class InternalCtEngine:
         self._mpk = mpk
         self._engine_key = engine_key
         self._clock = clock
-        self._update_lock = threading.Lock()
 
     def _stored_layer_policies(self, record_name: str) -> tuple[list[AccessPolicy], int]:
         record = self._policy_store.get(record_name)
@@ -253,7 +255,7 @@ class InternalCtEngine:
     def on_policy_update(self, policy_name: str) -> list[str]:
         """Re-layer the records under the named policy whose stored version
         is below its current one; returns their ids."""
-        with self._update_lock:
+        with self._ct_store.pass_lock():
             policies, version = self._stored_layer_policies(policy_name)
             updated = []
             for record in self._ct_store.by_policy(policy_name):

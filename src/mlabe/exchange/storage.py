@@ -16,8 +16,10 @@ The engine's re-layer pass scans the records of one policy
 (``by_policy``) and rewrites only those whose ``policy_version`` is below
 the policy's current version. ``CtStore.update`` derives the replacement
 from the copy the scan has just read and verified, and writes it without
-reading the file again; the engine runs one pass at a time, so no newer
-version can land in between.
+reading the file again. A pass holds an exclusive ``flock`` on
+``.relayer.lock`` in the record directory (``CtStore.pass_lock``), so
+passes run one at a time across every process and thread sharing the
+directory, and no newer version can land in between.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -33,7 +36,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import Iterator, Protocol
 
 from ..errors import NotFound, StoreFailure
 
@@ -208,6 +211,19 @@ class CtStore:
     def get(self, record_id: str) -> CtRecord:
         with self._lock_for(record_id):
             return self._load(record_id)
+
+    @contextlib.contextmanager
+    def pass_lock(self) -> Iterator[None]:
+        """Hold the exclusive re-layer lock for the duration of the block.
+
+        Each holder opens the lock file itself, and flock excludes other
+        open files, so the lock serialises threads of one process as well
+        as other processes. The name does not end in ``.json``, so ``ids``
+        never lists it.
+        """
+        with open(self._root / ".relayer.lock", "ab") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            yield
 
     def ids(self) -> list[str]:
         return sorted(p.stem for p in self._root.glob("*.json"))

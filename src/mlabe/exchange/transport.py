@@ -10,7 +10,8 @@ prove that neither payload plaintext nor symmetric keys ever transit.
 and the in-process LocalClient, so both raise the same error classes.
 The server answers a whole frame that is not a UTF-8 JSON object with an
 ExchangeError frame, and drops a connection that stays idle past
-``CONNECTION_TIMEOUT_S``.
+``CONNECTION_TIMEOUT_S``; the client raises ExchangeError on a response
+frame that is not a JSON object.
 """
 
 from __future__ import annotations
@@ -105,6 +106,8 @@ def dispatch(routes: dict[str, Handler], request: dict) -> dict:
 
 def _result(response: dict) -> Any:
     """The result of a response frame, or its error re-raised by class."""
+    if not isinstance(response, dict):
+        raise ExchangeError("response frame is not a JSON object")
     if response.get("ok"):
         return response.get("result")
     error_cls = ERROR_CLASSES.get(response.get("error", ""), ExchangeError)

@@ -11,8 +11,6 @@ import hashlib
 import hmac
 from typing import Callable
 
-DIGEST_BYTES = 32
-
 
 def length_prefixed(*parts: bytes) -> bytes:
     """Concatenate parts, each preceded by its 8-byte big-endian length."""

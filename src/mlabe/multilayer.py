@@ -49,11 +49,10 @@ LAYER_KEY_BYTES = 32
 ENGINE_UPDATE_ATTRIBUTE = "ENGINE_UPDATE"
 
 
-def augment_for_engine(policy: AccessPolicy,
-                       attribute: str = ENGINE_UPDATE_ATTRIBUTE) -> AccessPolicy:
+def augment_for_engine(policy: AccessPolicy) -> AccessPolicy:
     """(policy OR engine-attribute): consumers still satisfy the original
     policy, and the layer-maintenance key can open the layer for updates."""
-    return AccessPolicy(Or((policy.root, Leaf(attribute))))
+    return AccessPolicy(Or((policy.root, Leaf(ENGINE_UPDATE_ATTRIBUTE))))
 
 
 def add_layers(mpk: MasterPublicKey, ct: LayeredAbeCiphertext,

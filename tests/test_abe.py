@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from support import ALPHABET, all_subsets, enumerate_policies, make_rng
 
 from mlabe.abe import (
     ENCAPSULATION_WIDTH,
+    MasterPublicKey,
     MasterSecretKey,
     UserSecretKey,
     abe_decrypt,
@@ -19,7 +21,7 @@ from mlabe.abe import (
     keygen,
     setup,
 )
-from mlabe.containers import AbeCiphertext
+from mlabe.containers import KIND_HEADER, AbeCiphertext, pack_container, parse_header
 from mlabe.errors import (
     BackendMismatch,
     EmptyAttributeSet,
@@ -58,6 +60,8 @@ class TestSetup:
     def test_msk_serialization_roundtrip_gives_identical_keys(self, rng):
         pair = setup(256, rng)
         reloaded = MasterSecretKey.from_bytes(pair.msk.to_bytes())
+        assert reloaded == pair.msk
+        assert MasterPublicKey(*astuple(reloaded)) != reloaded  # kinds stay distinct
         attrs = AttributeSet({"A"}, {"T_SK": 5})
         seed = make_rng("same-seed")(32)
         assert keygen(pair.msk, attrs, seed).to_bytes() == \
@@ -166,13 +170,32 @@ class TestDecrypt:
         with pytest.raises(MalformedCiphertext):
             abe_decrypt(master_pair.mpk, key, broken)
 
-    def test_backend_mismatch(self, master_pair):
+    @pytest.mark.parametrize("case, error", [
+        ("usk", BackendMismatch),
+        ("mpk-at-encrypt", BackendMismatch),
+        ("msk-at-keygen", BackendMismatch),
+        ("mpk-and-usk", BackendMismatch),
+        ("header", MalformedCiphertext),
+    ])
+    def test_backend_mismatch(self, master_pair, case, error):
+        """A key or public key of another backend is a caller error; a
+        header claiming another backend is damage."""
+        mpk, msk = master_pair.mpk, master_pair.msk
         key = issue(master_pair, {"A"})
-        wrong = UserSecretKey(backend_id=9, key_id=key.key_id,
-                              attrs=key.attrs, material=key.material)
-        ct = abe_encrypt(master_pair.mpk, parse_policy("A"), b"m", U)
-        with pytest.raises(BackendMismatch):
-            abe_decrypt(master_pair.mpk, wrong, ct)
+        policy = parse_policy("A")
+        ct = abe_encrypt(mpk, policy, b"m", U)
+        _, policy_text, salt, nonce = parse_header(ct.header)
+        header = pack_container(KIND_HEADER, 2, [policy_text.encode(), salt, nonce])
+        attempts = {
+            "usk": lambda: abe_decrypt(mpk, replace(key, backend_id=9), ct),
+            "mpk-at-encrypt": lambda: abe_encrypt(replace(mpk, backend_id=9), policy, b"m", U),
+            "msk-at-keygen": lambda: keygen(replace(msk, backend_id=9), key.attrs, bytes(32)),
+            "mpk-and-usk": lambda: abe_decrypt(replace(mpk, backend_id=9),
+                                               replace(key, backend_id=9), ct),
+            "header": lambda: abe_decrypt(mpk, key, AbeCiphertext(header, ct.body)),
+        }
+        with pytest.raises(error):
+            attempts[case]()
 
     def test_key_from_other_master_rejected(self, master_pair):
         other = setup(256, make_rng("other-master"))

@@ -17,6 +17,7 @@ from mlabe.containers import HybridCiphertext
 from mlabe.errors import (
     AlreadyInitialized,
     EngineUnreachable,
+    ExchangeError,
     NotFound,
     PolicyUnsatisfied,
     StoreFailure,
@@ -204,9 +205,11 @@ class TestPolicyUpdate:
         assert Consumer(deployment.mpk, key_new).fetch_and_decrypt(
             record_id, deployment.client("external")) == plaintext
 
-    def test_concurrent_updates_converge(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("racer", ["same-deployment", "second-deployment"])
+    def test_concurrent_updates_converge(self, tmp_path, monkeypatch, racer):
         """An update that starts while another is re-layering still leaves
-        every record at the newest policy version."""
+        every record at the newest policy version, also when it runs on a
+        second deployment opened on the same directory."""
         import mlabe.exchange.services as services
 
         dep = Deployment(tmp_path / "dep", "pw", clock=ManualClock(1_000),
@@ -215,10 +218,12 @@ class TestPolicyUpdate:
         owner = DataOwner(dep.mpk, make_rng("do"))
         ids = [owner.publish(b"record %d" % i, parse_policy("(X)"), "vc",
                              dep.client("internal")) for i in range(3)]
+        other = dep if racer == "same-deployment" else Deployment(
+            tmp_path / "dep", "pw", clock=ManualClock(1_000), rng=make_rng("racer"))
 
         real_update = services.update_outer_layers
         second = threading.Thread(
-            target=dep.admin.update_policy, args=("admin", "vc", ["(C)"]))
+            target=other.admin.update_policy, args=("admin", "vc", ["(C)"]))
 
         def update_starting_second(*args, **kwargs):
             if second.ident is None:
@@ -503,6 +508,25 @@ class TestWire:
             assert health["status"] == "ok"
         finally:
             server.stop()
+
+    @pytest.mark.parametrize("body", [b"[1]", b'"s"'])
+    def test_non_object_response_frame_raises(self, body):
+        """A response frame that is not a JSON object fails closed with an
+        ExchangeError, not a raw Python error."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def answer():
+                conn, _ = listener.accept()
+                with conn:
+                    (length,) = struct.unpack(">I", conn.recv(4, socket.MSG_WAITALL))
+                    conn.recv(length, socket.MSG_WAITALL)
+                    conn.sendall(struct.pack(">I", len(body)) + body)
+            thread = threading.Thread(target=answer)
+            thread.start()
+            with pytest.raises(ExchangeError) as caught:
+                ServiceClient(listener.getsockname(), attempts=1).request("GET /health")
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert type(caught.value) is ExchangeError
 
     def test_idle_connection_times_out(self, monkeypatch):
         """The server drops a connection that sends nothing before the
