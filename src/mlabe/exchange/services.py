@@ -254,7 +254,14 @@ class InternalCtEngine:
 
     def on_policy_update(self, policy_name: str) -> list[str]:
         """Re-layer the records under the named policy whose stored version
-        is below its current one; returns their ids."""
+        is below its current one; returns their ids.
+
+        The replacements are group-committed when the pass lock is
+        released: every one is fsynced, then each is renamed over its
+        record, before this returns. If the pass fails part-way, the
+        records re-layered before the failure are committed and the error
+        propagates.
+        """
         with self._ct_store.pass_lock():
             policies, version = self._stored_layer_policies(policy_name)
             updated = []

@@ -3,7 +3,18 @@
 Everything is file-backed with write-temp-then-rename updates, so a crash
 mid-write leaves either the old or the new record, never a hybrid. Each
 write goes through its own temporary file, so writers sharing a directory
-never write into one another's file.
+never write into one another's file. Every write is a group commit
+(``_GroupCommit``), in three steps:
+
+1. stage: write each replacement to a fresh temporary file beside its
+   target and close it unsynced;
+2. fsync each staged file;
+3. rename each staged file over its target, in the order staged.
+
+A single write (``atomic_write``) is a group of one. A re-layer pass is
+one group: its records are fsynced back to back and renamed when the
+pass ends. Each rename is atomic, so a reader, which takes no lock, sees
+either the old or the new record, both whole and digest-verified.
 
 A ciphertext record is one JSON object, ``<id>.json``, holding the
 container bytes as base64 (``ct_b64``) beside eight metadata fields.
@@ -15,7 +26,7 @@ verified on every read.
 The engine's re-layer pass scans the records of one policy
 (``by_policy``) and rewrites only those whose ``policy_version`` is below
 the policy's current version. ``CtStore.update`` derives the replacement
-from the copy the scan has just read and verified, and writes it without
+from the copy the scan has just read and verified, and stages it without
 reading the file again. A pass holds an exclusive ``flock`` on
 ``.relayer.lock`` in the record directory (``CtStore.pass_lock``), so
 passes run one at a time across every process and thread sharing the
@@ -69,27 +80,62 @@ class ManualClock:
         self._now = value
 
 
-def atomic_write(path: Path, data: bytes) -> None:
-    """Durably replace the file at `path` with `data`.
+class _GroupCommit:
+    """Replacement files staged beside their targets, then made durable
+    and visible together.
 
-    The data goes to a fresh temporary file beside `path`, which is then
-    renamed over it; on any failure the temporary file is removed.
+    ``stage`` writes each replacement to a fresh temporary file and closes
+    it unsynced, so no descriptor is held per staged file. ``commit``
+    fsyncs every staged file, then renames each over its target in the
+    order staged. A file whose write failed is never staged, and a staged
+    file that was not renamed is removed.
     """
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                                   suffix=".tmp")
+
+    def __init__(self) -> None:
+        self._staged: list[tuple[str, Path]] = []
+
+    def stage(self, path: Path, data: bytes) -> None:
         try:
-            with open(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise StoreFailure(f"write to {path} failed: {exc}") from exc
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                       suffix=".tmp")
+            try:
+                with open(fd, "wb") as handle:
+                    handle.write(data)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise StoreFailure(f"write to {path} failed: {exc}") from exc
+        self._staged.append((tmp, path))
+
+    def commit(self) -> None:
+        staged, self._staged = self._staged, []
+        renamed = 0
+        try:
+            for tmp, path in staged:
+                fd = os.open(tmp, os.O_RDONLY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
+            for tmp, path in staged:
+                os.replace(tmp, path)
+                renamed += 1
+        except OSError as exc:
+            raise StoreFailure(f"write to {path} failed: {exc}") from exc
+        finally:
+            for tmp, _ in staged[renamed:]:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Durably replace the file at `path` with `data`: a group commit of
+    one file."""
+    group = _GroupCommit()
+    group.stage(path, data)
+    group.commit()
 
 
 def content_id(data: bytes) -> str:
@@ -149,17 +195,13 @@ def layer_policy_digest(layer_policies: tuple[str, ...]) -> str:
 
 
 class CtStore:
-    """Content-addressed ciphertext records. Writes are serialized per id."""
+    """Content-addressed ciphertext records, each replaced whole by rename."""
 
     def __init__(self, root: Path):
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
-        self._locks: dict[str, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
-
-    def _lock_for(self, record_id: str) -> threading.Lock:
-        with self._locks_guard:
-            return self._locks.setdefault(record_id, threading.Lock())
+        # The group commit of the pass this thread is running, if any.
+        self._pass = threading.local()
 
     def _path(self, record_id: str) -> Path:
         if not record_id or any(c not in "0123456789abcdef" for c in record_id):
@@ -178,8 +220,7 @@ class CtStore:
             layer_policy_digest=layer_policy_digest(layer_policies),
             content_digest=record_id,
         )
-        with self._lock_for(record_id):
-            atomic_write(self._path(record_id), record.to_json())
+        atomic_write(self._path(record_id), record.to_json())
         return record
 
     def update(self, record: CtRecord, ct: bytes, n_layers: int,
@@ -189,41 +230,51 @@ class CtStore:
 
         The file is not read again: callers serialize updates of a record,
         so `record` is still its stored state. `record` is not mutated.
+        Inside ``pass_lock`` the replacement is only staged; it is durable
+        and visible once the pass's block ends.
         """
         updated = dataclasses.replace(
             record, ct=ct, n_layers=n_layers, policy_version=policy_version,
             layer_policy_digest=layer_policy_digest(layer_policies),
             content_digest=content_id(ct),
             updated_at=max(clock.now(), record.updated_at))
-        with self._lock_for(record.id):
+        group = getattr(self._pass, "group", None)
+        if group is None:
             atomic_write(self._path(record.id), updated.to_json())
+        else:
+            group.stage(self._path(record.id), updated.to_json())
         return updated
 
-    def _load(self, record_id: str) -> CtRecord:
-        path = self._path(record_id)
-        if not path.exists():
-            raise NotFound(f"no such ciphertext record: {record_id}")
-        record = CtRecord.from_json(path.read_bytes())
+    def get(self, record_id: str) -> CtRecord:
+        try:
+            data = self._path(record_id).read_bytes()
+        except FileNotFoundError:
+            raise NotFound(f"no such ciphertext record: {record_id}") from None
+        record = CtRecord.from_json(data)
         if content_id(record.ct) != record.content_digest:
             raise StoreFailure(f"record {record_id} corrupt: digest mismatch")
         return record
 
-    def get(self, record_id: str) -> CtRecord:
-        with self._lock_for(record_id):
-            return self._load(record_id)
-
     @contextlib.contextmanager
     def pass_lock(self) -> Iterator[None]:
-        """Hold the exclusive re-layer lock for the duration of the block.
+        """Hold the exclusive re-layer lock for the duration of the block,
+        and group-commit the block's ``update`` calls when it ends.
 
         Each holder opens the lock file itself, and flock excludes other
         open files, so the lock serialises threads of one process as well
         as other processes. The name does not end in ``.json``, so ``ids``
-        never lists it.
+        never lists it. The commit runs under the lock, also when the
+        block raises: what was staged before the error becomes durable
+        and visible, then the error propagates.
         """
         with open(self._root / ".relayer.lock", "ab") as handle:
             fcntl.flock(handle, fcntl.LOCK_EX)
-            yield
+            group = self._pass.group = _GroupCommit()
+            try:
+                yield
+            finally:
+                self._pass.group = None
+                group.commit()
 
     def ids(self) -> list[str]:
         return sorted(p.stem for p in self._root.glob("*.json"))
@@ -301,7 +352,10 @@ class SecurityEventLog:
 
     Every read picks up the whole lines appended to the file since the
     last read, so incidents recorded by another log object on the same
-    file (another deployment on the same directory) are seen.
+    file (another deployment on the same directory) are seen. ``record``
+    holds an exclusive ``flock`` on the file across its read, check and
+    append, so two log objects, in one process or two, cannot both append
+    against the same last incident. Reads take no flock.
     """
 
     def __init__(self, path: Path):
@@ -345,18 +399,18 @@ class SecurityEventLog:
             return list(self._events)
 
     def record(self, t_incident: int, reason: str) -> int:
-        with self._lock:
+        line = json.dumps({"t_incident": t_incident, "reason": reason},
+                          sort_keys=True) + "\n"
+        self._path.parent.mkdir(parents=True, exist_ok=True)
+        with self._lock, open(self._path, "ab") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
             self._refresh()
             if t_incident <= self._current():
                 raise StoreFailure(
                     f"incident timestamps must strictly increase "
                     f"({t_incident} <= {self._current()})")
-            line = json.dumps({"t_incident": t_incident, "reason": reason},
-                              sort_keys=True) + "\n"
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self._path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.write(line.encode("utf-8"))
+            handle.flush()
+            os.fsync(handle.fileno())
             self._refresh()
             return t_incident

@@ -306,6 +306,52 @@ class TestPolicyUpdate:
         assert result == {"updated": ids[1:]}
         assert [deployment.ct_store.get(i).policy_version for i in ids] == [2, 2, 2]
 
+    @staticmethod
+    def _three_records_behind(deployment) -> list[str]:
+        """Publish three records, then define a new version of their policy
+        without running the pass."""
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        for i in range(3):
+            owner.publish(b"record %d" % i, parse_policy("(Staff)"), "vc",
+                          deployment.client("internal"))
+        deployment.policy_store.define("vc", ["(Boss)"], deployment.clock)
+        return deployment.ct_store.ids()
+
+    def test_pass_fsyncs_each_record_once_and_leaves_no_temp_files(
+            self, deployment, monkeypatch):
+        import os
+
+        ids = self._three_records_behind(deployment)
+        real_fsync = os.fsync
+        fsyncs: list[int] = []
+        monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+        assert deployment.internal.on_policy_update("vc") == ids
+        assert len(fsyncs) == len(ids)
+        assert [deployment.ct_store.get(i).policy_version for i in ids] == [2, 2, 2]
+        assert list((deployment.data_dir / "ct").glob("*.tmp")) == []
+
+    def test_fsync_failure_at_commit_keeps_every_record_old(self, deployment, monkeypatch):
+        """A pass whose commit cannot fsync renames nothing and removes its
+        staged files; the next notification re-layers every record."""
+        import os
+
+        ids = self._three_records_behind(deployment)
+        before = {i: deployment.ct_store.get(i) for i in ids}
+
+        def failing_fsync(fd):
+            raise OSError("simulated I/O error")
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(StoreFailure):
+            deployment.internal.on_policy_update("vc")
+        monkeypatch.undo()
+        assert {i: deployment.ct_store.get(i) for i in ids} == before
+        assert list((deployment.data_dir / "ct").glob("*.tmp")) == []
+
+        result = deployment.client("internal").request(
+            "POST /notify", {"policy_name": "vc"})
+        assert result == {"updated": ids}
+        assert [deployment.ct_store.get(i).policy_version for i in ids] == [2, 2, 2]
+
     def test_publish_racing_an_update_ends_current(self, deployment, monkeypatch):
         """An update that lands while a publish adds its layers leaves the
         new record at the new version."""

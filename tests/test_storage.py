@@ -7,6 +7,7 @@ import dataclasses
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -84,6 +85,54 @@ class TestCtStore:
         store.put_new(b"two", 0, "other", 1, (), clock)
         store.put_new(b"three", 0, "vc", 1, (), clock)
         assert {r.ct for r in store.by_policy("vc")} == {b"one", b"three"}
+
+    def test_reads_during_a_pass_see_old_or_new_records(self, tmp_path, monkeypatch):
+        """A reader taking no lock, running before, during and after a
+        pass's commit, reads every record whole and digest-verified."""
+        store = CtStore(tmp_path)
+        clock = ManualClock()
+        old = {store.put_new(b"v1 %d" % i, 0, "vc", 1, (), clock).id: b"v1 %d" % i
+               for i in range(4)}
+        new = {record_id: b"v2 " + ct for record_id, ct in old.items()}
+        first_loop, done = threading.Event(), threading.Event()
+        seen: list[tuple[bytes, int]] = []
+        errors: list[Exception] = []
+
+        def read_all():
+            seen.extend((r.ct, r.policy_version) for r in map(store.get, old))
+
+        def reader():
+            try:
+                read_all()
+                first_loop.set()
+                while not done.is_set():
+                    read_all()
+                read_all()
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+            finally:
+                first_loop.set()
+
+        real_replace = os.replace
+
+        def yielding_replace(src, dst):
+            real_replace(src, dst)
+            time.sleep(0.002)  # let the reader run between renames
+        monkeypatch.setattr(os, "replace", yielding_replace)
+        thread = threading.Thread(target=reader)
+        thread.start()
+        assert first_loop.wait(timeout=10)
+        with store.pass_lock():
+            for record in store.by_policy("vc"):
+                store.update(record, new[record.id], 0, 2, (), clock)
+        done.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert errors == []
+        allowed = {(ct, 1) for ct in old.values()} | {(ct, 2) for ct in new.values()}
+        assert set(seen) <= allowed
+        assert {(ct, 1) for ct in old.values()} <= set(seen)
+        assert set(seen[-len(new):]) == {(ct, 2) for ct in new.values()}
 
 
 class TestAtomicWrite:
@@ -198,6 +247,31 @@ class TestSecurityEventLog:
             a.record(50, "not newer than the other log's incident")
         a.record(60, "after")
         assert b.events == [(50, "seen by the other log"), (60, "after")]
+
+    def test_records_through_two_logs_stay_increasing(self, tmp_path, monkeypatch):
+        """A record through one log that starts while another log is between
+        its check and its append waits for that append, then checks
+        against it."""
+        path = tmp_path / "incidents.log"
+        a = SecurityEventLog(path)
+        b = SecurityEventLog(path)
+        b_result: list = []
+        b_thread = threading.Thread(
+            target=lambda: b_result.append(b.record(60, "through b")))
+        real_refresh = a._refresh
+
+        def refresh_then_race():
+            real_refresh()
+            if b_thread.ident is None:
+                b_thread.start()
+                b_thread.join(timeout=0.5)
+        monkeypatch.setattr(a, "_refresh", refresh_then_race)
+
+        assert a.record(50, "through a") == 50
+        b_thread.join(timeout=10)
+        assert not b_thread.is_alive()
+        assert b_result == [60]
+        assert SecurityEventLog(path).events == [(50, "through a"), (60, "through b")]
 
     def test_partial_line_waits_for_its_newline(self, tmp_path):
         path = tmp_path / "incidents.log"
