@@ -85,10 +85,6 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-def _unb64(text: str) -> bytes:
-    return base64.b64decode(text)
-
-
 # ---------------------------------------------------------------------------
 # Attribute Authority
 # ---------------------------------------------------------------------------
@@ -280,7 +276,7 @@ class InternalCtEngine:
 
     def routes(self) -> dict:
         def publish(params: dict, caller: str) -> dict:
-            record = self.publish(_unb64(params["ct1_b64"]), params["policy_name"])
+            record = self.publish(params["ct1"], params["policy_name"])
             return {"id": record.id, "n_layers": record.n_layers}
 
         def notify(params: dict, caller: str) -> dict:
@@ -316,7 +312,7 @@ class ExternalCtEngine:
     def routes(self) -> dict:
         def fetch(params: dict, caller: str) -> dict:
             ct3_bytes, n_layers = self.request(params["id"])
-            return {"ct3_b64": _b64(ct3_bytes), "n_layers": n_layers}
+            return {"ct3": ct3_bytes, "n_layers": n_layers}
 
         return {"GET /ct/{id}": fetch}
 
@@ -397,7 +393,7 @@ class DataOwner:
                 engine: ServiceClient | LocalClient) -> str:
         ct1_bytes = self.encrypt(plaintext, ap1)
         result = engine.request("POST /publish", {
-            "ct1_b64": _b64(ct1_bytes), "policy_name": policy_name})
+            "ct1": ct1_bytes, "policy_name": policy_name})
         return result["id"]
 
 
@@ -415,7 +411,7 @@ class Consumer:
     def fetch_and_decrypt(self, record_id: str,
                           external: ServiceClient | LocalClient) -> bytes:
         result = external.request("GET /ct/{id}", {"id": record_id})
-        return self.decrypt(_unb64(result["ct3_b64"]))
+        return self.decrypt(result["ct3"])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ never write into one another's file. Every write is a group commit
 1. stage: write each replacement to a fresh temporary file beside its
    target and close it unsynced;
 2. fsync each staged file;
-3. rename each staged file over its target, in the order staged.
+3. rename each staged file over its target, in the order staged;
+4. fsync each directory the renames changed, once per directory, so the
+   renames themselves are on disk when the commit returns.
 
 A single write (``atomic_write``) is a group of one. A re-layer pass is
 one group: its records are fsynced back to back and renamed when the
@@ -30,7 +32,9 @@ from the copy the scan has just read and verified, and stages it without
 reading the file again. A pass holds an exclusive ``flock`` on
 ``.relayer.lock`` in the record directory (``CtStore.pass_lock``), so
 passes run one at a time across every process and thread sharing the
-directory, and no newer version can land in between.
+directory, and no newer version can land in between. Policy definitions
+and incident appends hold the same kind of lock (``_exclusive``) across
+their read-modify-write.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Protocol
+from typing import BinaryIO, Iterator, Protocol
 
 from ..errors import NotFound, StoreFailure
 
@@ -80,15 +84,39 @@ class ManualClock:
         self._now = value
 
 
+@contextlib.contextmanager
+def _exclusive(path: Path) -> Iterator[BinaryIO]:
+    """Hold an exclusive ``flock`` on `path`, opened for appending, for the
+    block.
+
+    Each holder opens the file itself, and flock excludes other open
+    files, so the lock serialises the threads of one process as well as
+    other processes. Closing the file releases it.
+    """
+    with open(path, "ab") as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        yield handle
+
+
+def _fsync(path: str | Path) -> None:
+    """fsync a file or directory by path."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class _GroupCommit:
     """Replacement files staged beside their targets, then made durable
     and visible together.
 
     ``stage`` writes each replacement to a fresh temporary file and closes
     it unsynced, so no descriptor is held per staged file. ``commit``
-    fsyncs every staged file, then renames each over its target in the
-    order staged. A file whose write failed is never staged, and a staged
-    file that was not renamed is removed.
+    fsyncs every staged file, renames each over its target in the order
+    staged, then fsyncs each distinct target directory once. A file whose
+    write failed is never staged, and a staged file that was not renamed
+    is removed.
     """
 
     def __init__(self) -> None:
@@ -114,14 +142,12 @@ class _GroupCommit:
         renamed = 0
         try:
             for tmp, path in staged:
-                fd = os.open(tmp, os.O_RDONLY)
-                try:
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
+                _fsync(tmp)
             for tmp, path in staged:
                 os.replace(tmp, path)
                 renamed += 1
+            for path in dict.fromkeys(target.parent for _, target in staged):
+                _fsync(path)
         except OSError as exc:
             raise StoreFailure(f"write to {path} failed: {exc}") from exc
         finally:
@@ -260,15 +286,12 @@ class CtStore:
         """Hold the exclusive re-layer lock for the duration of the block,
         and group-commit the block's ``update`` calls when it ends.
 
-        Each holder opens the lock file itself, and flock excludes other
-        open files, so the lock serialises threads of one process as well
-        as other processes. The name does not end in ``.json``, so ``ids``
-        never lists it. The commit runs under the lock, also when the
-        block raises: what was staged before the error becomes durable
-        and visible, then the error propagates.
+        The lock file's name does not end in ``.json``, so ``ids`` never
+        lists it. The commit runs under the lock, also when the block
+        raises: what was staged before the error becomes durable and
+        visible, then the error propagates.
         """
-        with open(self._root / ".relayer.lock", "ab") as handle:
-            fcntl.flock(handle, fcntl.LOCK_EX)
+        with _exclusive(self._root / ".relayer.lock"):
             group = self._pass.group = _GroupCommit()
             try:
                 yield
@@ -297,22 +320,28 @@ class PolicyRecord:
 
 
 class PolicyStore:
-    """Named, versioned layer-policy lists; history is retained."""
+    """Named, versioned layer-policy lists; history is retained.
+
+    ``define`` holds an exclusive ``flock`` on ``.define.lock`` across its
+    read, version bump and write, so two stores on one directory, in one
+    process or two, never both write the same next version. The lock
+    file's name does not end in ``.json``, so ``names`` never lists it.
+    Reads take no lock: each policy file is replaced whole by rename.
+    """
 
     def __init__(self, root: Path):
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     def _path(self, name: str) -> Path:
         safe = base64.urlsafe_b64encode(name.encode("utf-8")).decode("ascii").rstrip("=")
         return self._root / f"{safe}.json"
 
     def define(self, name: str, layers: list[str], clock: LogicalClock) -> PolicyRecord:
-        with self._lock:
+        with _exclusive(self._root / ".define.lock"):
             path = self._path(name)
             if path.exists():
-                record = self._load(name)
+                record = self.get(name)
                 record.version += 1
                 record.layers = list(layers)
             else:
@@ -323,17 +352,13 @@ class PolicyStore:
             atomic_write(path, json.dumps(record.__dict__, sort_keys=True).encode("utf-8"))
             return record
 
-    def _load(self, name: str) -> PolicyRecord:
+    def get(self, name: str) -> PolicyRecord:
         path = self._path(name)
         if not path.exists():
             raise NotFound(f"no such policy: {name}")
         obj = json.loads(path.read_bytes())
         return PolicyRecord(name=obj["name"], layers=obj["layers"],
                             version=obj["version"], history=obj["history"])
-
-    def get(self, name: str) -> PolicyRecord:
-        with self._lock:
-            return self._load(name)
 
     def names(self) -> list[str]:
         out = []
@@ -402,8 +427,7 @@ class SecurityEventLog:
         line = json.dumps({"t_incident": t_incident, "reason": reason},
                           sort_keys=True) + "\n"
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        with self._lock, open(self._path, "ab") as handle:
-            fcntl.flock(handle, fcntl.LOCK_EX)
+        with self._lock, _exclusive(self._path) as handle:
             self._refresh()
             if t_incident <= self._current():
                 raise StoreFailure(

@@ -1,17 +1,32 @@
-"""Length-prefixed JSON framing over TCP.
+"""Length-prefixed frames over TCP: a JSON header plus raw binary sections.
 
-Each frame is a 4-byte big-endian length followed by a UTF-8 JSON object.
+A frame (version 2, PROTOCOL.md) is a 4-byte big-endian frame length,
+then the frame body:
+
+    u32 header length | UTF-8 JSON header object | section*
+    section = u32 length | raw bytes
+
 Requests carry {"op", "caller", "params"}; responses carry {"ok": true,
-"result": ...} or {"ok": false, "error": <class>, "message": ...}; binary
-payloads ride base64-encoded inside params/results. A TransportTap can
-observe every frame that crosses the wire, which the test harness uses to
-prove that neither payload plaintext nor symmetric keys ever transit.
-``dispatch`` maps a request to a response frame for both the TCP server
-and the in-process LocalClient, so both raise the same error classes.
-The server answers a whole frame that is not a UTF-8 JSON object with an
-ExchangeError frame, and drops a connection that stays idle past
+"result": ...} or {"ok": false, "error": <class>, "message": ...}. Every
+``bytes`` value anywhere in a message travels as a section, and the
+header holds ``{"$section": i}`` in its place; the receiver puts the
+bytes of section i back. So ciphertext crosses the wire as is, with no
+base64 or JSON escaping, and the key ``"$section"`` is reserved. A body
+that is malformed in any way (a truncated header, a section running past
+the frame end, a marker naming no section, a header that is not a JSON
+object or nests too deeply) raises ValueError in ``decode_frame``. A frame longer than
+``MAX_FRAME_BYTES`` is refused before its body is read.
+
+A TransportTap records every frame body that crosses the wire, sections
+included, which the test harness uses to prove that neither payload
+plaintext nor symmetric keys ever transit. ``dispatch`` maps a request
+to a response message for both the TCP server and the in-process
+LocalClient, so both raise the same error classes; LocalClient passes
+``bytes`` through without framing. The server answers a malformed frame
+with an ExchangeError frame, and drops a connection that stays idle past
 ``CONNECTION_TIMEOUT_S``; the client raises ExchangeError on a response
-frame that is not a JSON object.
+header that is JSON but not an object, and EngineUnreachable on any
+other malformed response.
 """
 
 from __future__ import annotations
@@ -54,12 +69,86 @@ class TransportTap:
             self._frames.clear()
 
 
-def _send_frame(sock: socket.socket, payload: dict, tap: TransportTap | None,
+_SECTION_MARKER = "$section"
+_U32 = struct.Struct(">I")
+
+
+class _NotAnObject(ValueError):
+    """A well-formed frame whose header is not a JSON object."""
+
+
+# _lift and _lower are module functions, not closures: a recursive closure
+# is a reference cycle, which would keep each frame's sections alive until
+# the cyclic garbage collector runs.
+
+def _lift(value: Any, sections: list[bytes]) -> Any:
+    """`value` with each ``bytes`` moved to `sections` and a marker left."""
+    if isinstance(value, bytes):
+        sections.append(value)
+        return {_SECTION_MARKER: len(sections) - 1}
+    if isinstance(value, dict):
+        return {key: _lift(item, sections) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_lift(item, sections) for item in value]
+    return value
+
+
+def _lower(value: Any, sections: list[bytes]) -> Any:
+    """`value` with each marker replaced by the section it names."""
+    if isinstance(value, dict):
+        if value.keys() == {_SECTION_MARKER}:
+            index = value[_SECTION_MARKER]
+            if type(index) is not int or not 0 <= index < len(sections):
+                raise ValueError(f"section marker {index!r} names no section")
+            return sections[index]
+        return {key: _lower(item, sections) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_lower(item, sections) for item in value]
+    return value
+
+
+def encode_frame(message: dict) -> bytes:
+    """The frame body of `message`: each ``bytes`` value becomes a section."""
+    sections: list[bytes] = []
+    header = json.dumps(_lift(message, sections), sort_keys=True).encode("utf-8")
+    parts = [_U32.pack(len(header)), header]
+    for section in sections:
+        parts += (_U32.pack(len(section)), section)
+    return b"".join(parts)
+
+
+def decode_frame(body: bytes) -> dict:
+    """The message in a frame body; ValueError if the body is malformed."""
+    if len(body) < _U32.size:
+        raise ValueError("frame too short for its header length")
+    (header_len,) = _U32.unpack_from(body)
+    header_end = offset = _U32.size + header_len
+    if header_end > len(body):
+        raise ValueError("frame header runs past the frame end")
+    sections = []
+    while offset < len(body):
+        if offset + _U32.size > len(body):
+            raise ValueError("section length runs past the frame end")
+        (length,) = _U32.unpack_from(body, offset)
+        start, offset = offset + _U32.size, offset + _U32.size + length
+        if offset > len(body):
+            raise ValueError("section runs past the frame end")
+        sections.append(body[start:offset])
+    try:
+        header = json.loads(body[_U32.size:header_end].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise _NotAnObject("frame header is not a JSON object")
+        return _lower(header, sections)
+    except RecursionError as exc:
+        raise ValueError("frame header nests too deeply") from exc
+
+
+def _send_frame(sock: socket.socket, message: dict, tap: TransportTap | None,
                 direction: str) -> None:
-    data = json.dumps(payload, sort_keys=True).encode("utf-8")
+    body = encode_frame(message)
     if tap is not None:
-        tap.record(direction, data)
-    sock.sendall(struct.pack(">I", len(data)) + data)
+        tap.record(direction, body)
+    sock.sendall(_U32.pack(len(body)) + body)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -76,20 +165,18 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def _recv_frame(sock: socket.socket, tap: TransportTap | None,
                 direction: str) -> dict:
-    (length,) = struct.unpack(">I", _recv_exact(sock, 4))
+    (length,) = _U32.unpack(_recv_exact(sock, _U32.size))
     if length > MAX_FRAME_BYTES:
         raise ConnectionError(f"frame of {length} bytes exceeds limit")
-    data = _recv_exact(sock, length)
+    body = _recv_exact(sock, length)
     if tap is not None:
-        tap.record(direction, data)
-    return json.loads(data.decode("utf-8"))
+        tap.record(direction, body)
+    return decode_frame(body)
 
 
 def dispatch(routes: dict[str, Handler], request: dict) -> dict:
-    """Run one request frame against a route table; errors become frames."""
-    if not isinstance(request, dict):
-        return {"ok": False, "error": "ExchangeError",
-                "message": "request frame is not a JSON object"}
+    """Run one request message against a route table; errors become
+    response messages."""
     op = request.get("op")
     handler = routes.get(op)
     if handler is None:
@@ -105,9 +192,7 @@ def dispatch(routes: dict[str, Handler], request: dict) -> dict:
 
 
 def _result(response: dict) -> Any:
-    """The result of a response frame, or its error re-raised by class."""
-    if not isinstance(response, dict):
-        raise ExchangeError("response frame is not a JSON object")
+    """The result of a response message, or its error re-raised by class."""
     if response.get("ok"):
         return response.get("result")
     error_cls = ERROR_CLASSES.get(response.get("error", ""), ExchangeError)
@@ -116,7 +201,7 @@ def _result(response: dict) -> Any:
 
 class LocalClient:
     """In-process client: the same dispatch and error mapping as the wire,
-    without sockets or JSON framing."""
+    without sockets or framing; ``bytes`` values pass through as they are."""
 
     def __init__(self, routes: dict[str, Handler], caller: str = ""):
         self._routes = routes
@@ -145,11 +230,13 @@ class ServiceServer:
                 self.request.settimeout(CONNECTION_TIMEOUT_S)
                 try:
                     request = _recv_frame(self.request, outer._tap, f"{outer.name}<-")
-                except ValueError:  # a whole frame that is not UTF-8 JSON
-                    request = None
+                except ValueError as exc:  # a whole frame, malformed
+                    response = {"ok": False, "error": "ExchangeError",
+                                "message": f"malformed request frame: {exc}"}
                 except OSError:  # peer gone, oversized frame or idle past the deadline
                     return
-                response = dispatch(outer._routes, request)
+                else:
+                    response = dispatch(outer._routes, request)
                 try:
                     _send_frame(self.request, response, outer._tap, f"{outer.name}->")
                 except OSError:
@@ -218,6 +305,8 @@ class ServiceClient:
             try:
                 _send_frame(sock, payload, self._tap, "client->")
                 response = _recv_frame(sock, self._tap, "client<-")
+            except _NotAnObject as exc:
+                raise ExchangeError(f"malformed response frame: {exc}") from exc
             except (OSError, ValueError) as exc:
                 raise EngineUnreachable(
                     f"{self._address[0]}:{self._address[1]} failed after the request "

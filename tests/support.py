@@ -7,6 +7,7 @@ import base64
 import itertools
 import json
 import random
+import struct
 
 from mlabe.hashing import counter_rng as make_rng  # noqa: F401  (re-exported)
 from mlabe.policy import AccessPolicy, And, Cmp, Leaf, Node, Or
@@ -128,24 +129,43 @@ def all_subsets(alphabet: tuple[str, ...] = ALPHABET):
 # ---------------------------------------------------------------------------
 
 def frames_contain_secret(frames: list[tuple[str, bytes]], secret: bytes) -> bool:
-    """True if any captured frame carries the secret raw, hex, or inside a
-    base64-encoded JSON string value."""
+    """True if any captured frame carries the secret raw or hex-encoded
+    anywhere in its body, JSON header and raw binary sections alike, or
+    inside a base64-encoded string value of its JSON header.
+
+    A frame body is a u32 header length, the UTF-8 JSON header, then the
+    sections, each a u32 length and raw bytes. The string values of the
+    header (``mpk_b64``, ``key_b64``) are base64-decoded and scanned. A
+    body that is itself JSON, as a hand-built frame in the old layout is,
+    has its string values decoded as well.
+    """
     hexed = secret.hex().encode("ascii")
     for _, frame in frames:
         if secret in frame or hexed in frame:
             return True
+        for payload in _json_values(frame):
+            for value in _iter_strings(payload):
+                try:
+                    decoded = base64.b64decode(value, validate=True)
+                except Exception:
+                    continue
+                if secret in decoded:
+                    return True
+    return False
+
+
+def _json_values(frame: bytes):
+    """The frame's JSON header, and the whole frame read as JSON, where
+    either parses."""
+    candidates = [frame]
+    if len(frame) >= 4:
+        (header_len,) = struct.unpack_from(">I", frame)
+        candidates.append(frame[4:4 + header_len])
+    for candidate in candidates:
         try:
-            payload = json.loads(frame.decode("utf-8"))
+            yield json.loads(candidate.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             continue
-        for value in _iter_strings(payload):
-            try:
-                decoded = base64.b64decode(value, validate=True)
-            except Exception:
-                continue
-            if secret in decoded:
-                return True
-    return False
 
 
 def _iter_strings(obj):

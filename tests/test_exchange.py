@@ -25,7 +25,13 @@ from mlabe.errors import (
 )
 from mlabe.exchange.services import Consumer, DataOwner, Deployment
 from mlabe.exchange.storage import ManualClock
-from mlabe.exchange.transport import ServiceClient, ServiceServer, TransportTap
+from mlabe.exchange.transport import (
+    ServiceClient,
+    ServiceServer,
+    TransportTap,
+    decode_frame,
+    encode_frame,
+)
 from mlabe.policy import TIMESTAMP_ATTRIBUTE, parse_policy
 
 
@@ -33,6 +39,45 @@ ALLOW = {
     "alice": ["Mechanic", "Staff", "Boss"],
     "bob": ["Mechanic"],
     "do1": [],
+}
+
+
+def _u32(n: int) -> bytes:
+    return struct.pack(">I", n)
+
+
+def _body(header: bytes, *sections: bytes) -> bytes:
+    """A hand-built frame body: header length, header, then sections."""
+    return _u32(len(header)) + header + b"".join(_u32(len(s)) + s for s in sections)
+
+
+def _read_reply_header(sock: socket.socket) -> dict:
+    """Read one whole frame and parse its JSON header by hand."""
+    prefix = sock.recv(4, socket.MSG_WAITALL)
+    assert len(prefix) == 4, "connection closed without a reply"
+    (length,) = struct.unpack(">I", prefix)
+    body = sock.recv(length, socket.MSG_WAITALL)
+    (header_len,) = struct.unpack_from(">I", body)
+    return json.loads(body[4:4 + header_len])
+
+
+_HEALTH = b'{"caller": "", "op": "GET /health", "params": {}}'
+
+# Frame bodies the codec must refuse with ValueError; as a request, each
+# gets an ExchangeError frame back.
+MALFORMED_BODIES = {
+    "truncated-header-length": b"\x00\x00",
+    "header-past-frame-end": _u32(len(_HEALTH) + 1) + _HEALTH,
+    "section-past-frame-end": _body(_HEALTH) + _u32(1000) + b"abc",
+    "truncated-section-length": _body(_HEALTH) + b"\x00\x01",
+    "marker-out-of-range": _body(
+        b'{"caller": "", "op": "GET /health", "params": {"x": {"$section": 1}}}', b"s0"),
+    "marker-negative": _body(
+        b'{"caller": "", "op": "GET /health", "params": {"x": {"$section": -1}}}', b"s0"),
+    "marker-not-an-integer": _body(
+        b'{"caller": "", "op": "GET /health", "params": {"x": {"$section": "0"}}}', b"s0"),
+    "old-format-bare-json": _HEALTH,
+    "header-nests-too-deeply": _body(b'{"x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
 }
 
 
@@ -319,14 +364,21 @@ class TestPolicyUpdate:
 
     def test_pass_fsyncs_each_record_once_and_leaves_no_temp_files(
             self, deployment, monkeypatch):
+        """Each re-layered record is fsynced once, then the record
+        directory once, after the renames."""
         import os
+        import stat
 
         ids = self._three_records_behind(deployment)
         real_fsync = os.fsync
-        fsyncs: list[int] = []
-        monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+        fsyncs: list[str] = []
+
+        def recording_fsync(fd):
+            fsyncs.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+        monkeypatch.setattr(os, "fsync", recording_fsync)
         assert deployment.internal.on_policy_update("vc") == ids
-        assert len(fsyncs) == len(ids)
+        assert fsyncs == ["file"] * len(ids) + ["dir"]
         assert [deployment.ct_store.get(i).policy_version for i in ids] == [2, 2, 2]
         assert list((deployment.data_dir / "ct").glob("*.tmp")) == []
 
@@ -536,18 +588,15 @@ class TestWire:
             client("aa", caller="mallory").request(
                 "POST /keygen", {"attributes": ["Staff"]})
 
-    @pytest.mark.parametrize("body", [b"5", b"[1]", b'"s"', b"{not json", b"\xff\xfe"])
-    def test_non_object_frame_gets_error_frame(self, body):
-        """A whole frame that is not a UTF-8 JSON object is answered with
-        an ExchangeError frame, and the service keeps serving."""
+    @staticmethod
+    def _assert_error_frame_then_serving(body: bytes) -> None:
+        """Send one hand-built frame body; the server must answer with an
+        ExchangeError frame and keep serving."""
         server = ServiceServer("probe", {}).start()
         try:
             with socket.create_connection(server.address, timeout=5) as sock:
-                sock.sendall(struct.pack(">I", len(body)) + body)
-                prefix = sock.recv(4, socket.MSG_WAITALL)
-                assert len(prefix) == 4, "connection closed without a reply"
-                (length,) = struct.unpack(">I", prefix)
-                reply = json.loads(sock.recv(length, socket.MSG_WAITALL))
+                sock.sendall(_u32(len(body)) + body)
+                reply = _read_reply_header(sock)
             assert reply["ok"] is False
             assert reply["error"] == "ExchangeError"
             health = ServiceClient(server.address).request("GET /health")
@@ -555,24 +604,78 @@ class TestWire:
         finally:
             server.stop()
 
-    @pytest.mark.parametrize("body", [b"[1]", b'"s"'])
-    def test_non_object_response_frame_raises(self, body):
-        """A response frame that is not a JSON object fails closed with an
-        ExchangeError, not a raw Python error."""
+    @pytest.mark.parametrize("body", [b"5", b"[1]", b'"s"', b"{not json", b"\xff\xfe"])
+    def test_non_object_frame_gets_error_frame(self, body):
+        """A whole frame whose header is not a UTF-8 JSON object is answered
+        with an ExchangeError frame, and the service keeps serving."""
+        self._assert_error_frame_then_serving(_body(body))
+
+    @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
+    def test_malformed_frame_gets_error_frame(self, body):
+        self._assert_error_frame_then_serving(body)
+
+    @staticmethod
+    def _answer_once(body: bytes, expected: type[Exception]) -> Exception:
+        """A listener that reads one request frame and answers with `body`;
+        returns what the client raised."""
         with socket.create_server(("127.0.0.1", 0)) as listener:
             def answer():
                 conn, _ = listener.accept()
                 with conn:
                     (length,) = struct.unpack(">I", conn.recv(4, socket.MSG_WAITALL))
                     conn.recv(length, socket.MSG_WAITALL)
-                    conn.sendall(struct.pack(">I", len(body)) + body)
+                    conn.sendall(_u32(len(body)) + body)
             thread = threading.Thread(target=answer)
             thread.start()
-            with pytest.raises(ExchangeError) as caught:
+            with pytest.raises(expected) as caught:
                 ServiceClient(listener.getsockname(), attempts=1).request("GET /health")
             thread.join(timeout=5)
             assert not thread.is_alive()
-        assert type(caught.value) is ExchangeError
+        return caught.value
+
+    @pytest.mark.parametrize("body", [b"[1]", b'"s"'])
+    def test_non_object_response_frame_raises(self, body):
+        """A response frame whose header is not a JSON object fails closed
+        with an ExchangeError, not a raw Python error."""
+        assert type(self._answer_once(_body(body), ExchangeError)) is ExchangeError
+
+    @pytest.mark.parametrize("body", [MALFORMED_BODIES[k] for k in (
+        "truncated-header-length", "section-past-frame-end", "marker-out-of-range",
+        "old-format-bare-json")])
+    def test_malformed_response_frame_is_unreachable(self, body):
+        """Any other malformed response frame reads as a failure after the
+        request was sent, as an unparseable response always has."""
+        self._answer_once(body, EngineUnreachable)
+
+    @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
+    def test_codec_refuses_malformed_body_with_value_error(self, body):
+        with pytest.raises(ValueError):
+            decode_frame(body)
+
+    def test_codec_carries_bytes_as_sections(self):
+        message = {"op": "x", "params": {"ct1": b"\x00\xff" * 3, "n": 2,
+                                         "list": [b"", {"inner": b"\x01"}, "text"]}}
+        body = encode_frame(message)
+        assert decode_frame(body) == message
+        (header_len,) = struct.unpack_from(">I", body)
+        assert json.loads(body[4:4 + header_len]) == {
+            "op": "x", "params": {"ct1": {"$section": 0}, "n": 2,
+                                  "list": [{"$section": 1}, {"inner": {"$section": 2}}, "text"]}}
+        assert body[4 + header_len:] == _u32(6) + b"\x00\xff" * 3 + _u32(0) + _u32(1) + b"\x01"
+
+    def test_scanner_finds_secrets_in_sections_and_base64_strings(self):
+        import base64
+
+        secret = b"\x00secret key bytes\xff"
+        header = b'{"op": "POST /publish", "params": {"ct1": {"$section": 0}}}'
+        in_section = _body(header, b"before" + secret + b"after")
+        hex_in_section = _body(header, secret.hex().encode())
+        b64_header = json.dumps({"result": {"key_b64": base64.b64encode(secret).decode()}})
+        clean = _body(header, b"before" + secret[:-1] + b"after")
+        for body in (in_section, hex_in_section, _body(b64_header.encode()),
+                     b64_header.encode()):
+            assert frames_contain_secret([("client->", body)], secret)
+        assert not frames_contain_secret([("client->", clean)], secret)
 
     def test_idle_connection_times_out(self, monkeypatch):
         """The server drops a connection that sends nothing before the
@@ -609,6 +712,43 @@ class TestWire:
                 results = [ok for trips in pool.map(round_trips, range(3), timeout=60)
                            for ok in trips]
         assert results == [True] * 12
+
+    def test_large_round_trip_carries_ciphertext_in_raw_sections(self, deployment):
+        """A 160 KiB payload is published and fetched over TCP. The sealed
+        payload crosses as raw bytes in a section of each frame, and
+        neither the plaintext nor the symmetric key crosses at all."""
+        tap = TransportTap()
+        plaintext = make_rng("bulk-payload")(160 * 1024)
+        drawn: list[bytes] = []
+        inner_rng = make_rng("bulk-producer")
+
+        def recording_rng(n: int) -> bytes:
+            drawn.append(inner_rng(n))
+            return drawn[-1]
+
+        with deployment.serve(tap=tap) as served:
+            owner = DataOwner(deployment.mpk, recording_rng)
+            record_id = owner.publish(plaintext, parse_policy("(Staff)"), "vc",
+                                      served.client("internal", caller="do1"))
+            key = deployment.issue_key("alice", ["Mechanic", "Staff"])
+            recovered = Consumer(deployment.mpk, key).fetch_and_decrypt(
+                record_id, served.client("external", caller="alice"))
+        assert recovered == plaintext
+        frames = tap.frames()
+        sealed = HybridCiphertext.from_bytes(
+            deployment.ct_store.get(record_id).ct).ct_aes.body
+        assert frames_contain_secret(frames, sealed[:64])
+        assert not frames_contain_secret(frames, plaintext)
+        assert not frames_contain_secret(frames, drawn[0])
+        # client-> publish request, client<- publish reply, then the same for the fetch
+        sent = [body for direction, body in frames if direction.startswith("client")]
+        assert len(sent) == 4
+        for body, (outer, field) in ((sent[0], ("params", "ct1")),
+                                     (sent[3], ("result", "ct3"))):
+            (header_len,) = struct.unpack_from(">I", body)
+            assert sealed[:64] not in body[:4 + header_len]
+            assert sealed[:64] in decode_frame(body)[outer][field]
+            assert len(body) < len(plaintext) + 4096  # no base64 inflation
 
     def test_confidentiality_of_captures(self, deployment):
         """No frame on the wire may carry the payload or the symmetric key,

@@ -6,12 +6,14 @@ import base64
 import dataclasses
 import json
 import os
+import stat
 import threading
 import time
 
 import pytest
 
 from mlabe.errors import NotFound, StoreFailure
+from mlabe.exchange import storage
 from mlabe.exchange.storage import (
     CtRecord,
     CtStore,
@@ -171,6 +173,37 @@ class TestAtomicWrite:
         assert target.read_bytes() in payloads
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
+    @staticmethod
+    def _record_fsyncs(monkeypatch) -> list[tuple[str, int]]:
+        """(``"dir"`` or ``"file"``, inode) of every fsync from now on."""
+        synced: list[tuple[str, int]] = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            st = os.fstat(fd)
+            synced.append(("dir" if stat.S_ISDIR(st.st_mode) else "file", st.st_ino))
+            real_fsync(fd)
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        return synced
+
+    def test_directory_fsynced_after_the_rename(self, tmp_path, monkeypatch):
+        synced = self._record_fsyncs(monkeypatch)
+        atomic_write(tmp_path / "record.json", b"data")
+        assert synced == [("file", (tmp_path / "record.json").stat().st_ino),
+                          ("dir", tmp_path.stat().st_ino)]
+
+    def test_group_fsyncs_each_directory_once(self, tmp_path, monkeypatch):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        targets = [tmp_path / "a" / "1", tmp_path / "b" / "2", tmp_path / "a" / "3"]
+        synced = self._record_fsyncs(monkeypatch)
+        group = storage._GroupCommit()
+        for target in targets:
+            group.stage(target, target.name.encode())
+        group.commit()
+        assert synced == [("file", t.stat().st_ino) for t in targets] + [
+            ("dir", (tmp_path / "a").stat().st_ino), ("dir", (tmp_path / "b").stat().st_ino)]
+
     def test_interrupted_write_leaves_old_content(self, tmp_path, monkeypatch):
         target = tmp_path / "record.json"
         atomic_write(target, b"old")
@@ -209,6 +242,51 @@ class TestPolicyStore:
     def test_missing(self, tmp_path):
         with pytest.raises(NotFound):
             PolicyStore(tmp_path).get("nope")
+
+    def test_definitions_through_two_stores_all_land(self, tmp_path, monkeypatch):
+        """A definition through one store that starts while another store is
+        between reading the version and writing the next waits for that
+        write, then defines the version after it."""
+        import fcntl
+
+        clock = ManualClock(10)
+        a, b = PolicyStore(tmp_path), PolicyStore(tmp_path)
+        a.define("vc", ["(A)"], clock)
+        a_paused, a_go, b_progress = threading.Event(), threading.Event(), threading.Event()
+        real_write, real_flock = storage.atomic_write, fcntl.flock
+
+        def pausing_write(path, data):
+            if threading.current_thread() is a_thread:
+                a_paused.set()
+                a_go.wait(timeout=10)
+            real_write(path, data)
+
+        def signalling_flock(fd, operation):
+            if threading.current_thread() is b_thread:
+                b_progress.set()  # b is about to wait for a's lock
+            real_flock(fd, operation)
+
+        def define_through_b():
+            b.define("vc", ["(B)"], clock)
+            b_progress.set()
+
+        monkeypatch.setattr(storage, "atomic_write", pausing_write)
+        monkeypatch.setattr(fcntl, "flock", signalling_flock)
+        a_thread = threading.Thread(target=a.define, args=("vc", ["(C)"], clock))
+        b_thread = threading.Thread(target=define_through_b)
+        a_thread.start()
+        assert a_paused.wait(timeout=10)
+        b_thread.start()
+        assert b_progress.wait(timeout=10)
+        a_go.set()
+        for thread in (a_thread, b_thread):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        record = PolicyStore(tmp_path).get("vc")
+        assert record.version == 3
+        assert [(h["version"], h["layers"]) for h in record.history] == [
+            (1, ["(A)"]), (2, ["(C)"]), (3, ["(B)"])]
+        assert PolicyStore(tmp_path).names() == ["vc"]
 
 
 class TestSecurityEventLog:
