@@ -23,12 +23,14 @@ class PolicyError(MlabeError):
 class PolicySyntaxError(PolicyError):
     """Policy text failed to parse.
 
-    Carries the character offset of the offending token and, when known,
-    what the parser expected there.
+    Carries, when known, the character offset of the offending token and
+    what the parser expected there. An error rebuilt from its message
+    alone, as a client does, has neither.
     """
 
-    def __init__(self, message: str, position: int, expected: str | None = None):
-        detail = f"{message} at position {position}"
+    def __init__(self, message: str, position: int | None = None,
+                 expected: str | None = None):
+        detail = message if position is None else f"{message} at position {position}"
         if expected:
             detail += f" (expected {expected})"
         super().__init__(detail)
@@ -164,16 +166,13 @@ class ConfigError(MlabeError):
     """Benchmark or CLI configuration is invalid."""
 
 
-# Registry used by the wire transport to rehydrate typed errors client-side.
+def _with_subclasses(cls: type[MlabeError]) -> list[type[MlabeError]]:
+    return [cls] + [sub for direct in cls.__subclasses__()
+                    for sub in _with_subclasses(direct)]
+
+
+# Registry used by the wire transport to rehydrate typed errors client-side:
+# every class above, each of which can be rebuilt from its message alone.
 ERROR_CLASSES: dict[str, type[MlabeError]] = {
-    cls.__name__: cls
-    for cls in (
-        MlabeError, PolicyError, PolicySyntaxError, EmptyPolicyError,
-        UnsupportedParameter, EmptyAttributeSet, MissingTimestamp,
-        MessageTooLong, EmptyPlaintext, EntropyFailure, BackendMismatch,
-        DecryptError, MalformedCiphertext, MalformedLayer, PolicyUnsatisfied,
-        FoCheckFailed, AeadTagFailure, EmptyPolicyList, KeepExceedsLayers,
-        ExchangeError, AlreadyInitialized, NotInitialized, Unauthorized,
-        NotFound, EngineUnreachable, StoreFailure, ConfigError,
-    )
+    cls.__name__: cls for cls in _with_subclasses(MlabeError)
 }

@@ -75,6 +75,8 @@ from .storage import (
 from .transport import LocalClient, ServiceClient, ServiceServer, TransportTap
 
 ENGINE_REQUESTER_ID = "internal-ct-engine"
+# Security parameter of every deployment's master keys.
+SECURITY_BITS = 256
 
 _SCRYPT_N = 2**14
 _SCRYPT_R = 8
@@ -98,14 +100,12 @@ class AttributeAuthority:
     """
 
     def __init__(self, data_dir: Path, passphrase: str, clock: LogicalClock,
-                 allowlist: dict[str, list[str]], k_bits: int = 256,
-                 rng: Rng = os.urandom):
+                 allowlist: dict[str, list[str]], rng: Rng = os.urandom):
         self._dir = Path(data_dir)
         self._dir.mkdir(parents=True, exist_ok=True)
         self._passphrase = passphrase.encode("utf-8")
         self._clock = clock
         self._allowlist = {k: set(v) for k, v in allowlist.items()}
-        self._k_bits = k_bits
         self._rng = rng
         self._pair: MasterKeyPair | None = None
         self._lock = threading.Lock()
@@ -129,7 +129,7 @@ class AttributeAuthority:
         with self._lock:
             if self._pair is not None or self._sealed_path.exists():
                 raise AlreadyInitialized("system setup already completed")
-            pair = setup(self._k_bits, self._rng)
+            pair = setup(SECURITY_BITS, self._rng)
             self._persist_pair(pair)
             self._pair = pair
             return pair.mpk.to_bytes()
@@ -155,11 +155,6 @@ class AttributeAuthority:
         msk = MasterSecretKey.from_bytes(msk_bytes)
         mpk = MasterPublicKey.from_bytes(self._mpk_path.read_bytes())
         return MasterKeyPair(mpk=mpk, msk=msk)
-
-    def mpk_bytes(self) -> bytes:
-        if self._pair is None:
-            raise NotInitialized("system setup has not run")
-        return self._pair.mpk.to_bytes()
 
     @property
     def mpk(self) -> MasterPublicKey:
@@ -194,7 +189,7 @@ class AttributeAuthority:
 
     def routes(self) -> dict:
         return {
-            "GET /mpk": lambda params, caller: {"mpk_b64": _b64(self.mpk_bytes())},
+            "GET /mpk": lambda params, caller: {"mpk_b64": _b64(self.mpk.to_bytes())},
             "POST /keygen": lambda params, caller: {
                 "key_b64": _b64(self.issue_key(caller, params.get("attributes", [])))},
         }
@@ -241,8 +236,7 @@ class InternalCtEngine:
         layered = add_layers(self._mpk, ct1.ct_abe, policies) if policies else ct1.ct_abe
         ct2 = HybridCiphertext(ct_aes=ct1.ct_aes, ct_abe=layered)
         record = self._ct_store.put_new(
-            ct2.to_bytes(), ct2.n_layers, policy_name, version,
-            layered.layer_policies, self._clock)
+            ct2.to_bytes(), ct2.n_layers, policy_name, version, self._clock)
         if self._policy_store.get(policy_name).version != version:
             self.on_policy_update(policy_name)
             record = self._ct_store.get(record.id)
@@ -258,7 +252,7 @@ class InternalCtEngine:
         records re-layered before the failure are committed and the error
         propagates.
         """
-        with self._ct_store.pass_lock():
+        with self._ct_store.pass_lock() as group:
             policies, version = self._stored_layer_policies(policy_name)
             updated = []
             for record in self._ct_store.by_policy(policy_name):
@@ -269,8 +263,8 @@ class InternalCtEngine:
                     self._mpk, self._engine_key, ct.ct_abe, keep=0,
                     new_policies=policies)
                 new_ct = HybridCiphertext(ct_aes=ct.ct_aes, ct_abe=relayered)
-                self._ct_store.update(record, new_ct.to_bytes(), new_ct.n_layers,
-                                      version, relayered.layer_policies, self._clock)
+                self._ct_store.update(group, record, new_ct.to_bytes(),
+                                      new_ct.n_layers, version, self._clock)
                 updated.append(record.id)
             return updated
 
@@ -430,16 +424,16 @@ class Deployment:
                  clock: LogicalClock | None = None,
                  allowlist: dict[str, list[str]] | None = None,
                  admin_ids: set[str] | None = None,
-                 rng: Rng = os.urandom, k_bits: int = 256):
+                 rng: Rng = os.urandom):
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.clock = clock or SystemClock()
-        config = self._load_or_init_config(allowlist, admin_ids, k_bits)
+        config = self._load_or_init_config(allowlist, admin_ids)
         config["allowlist"].setdefault(ENGINE_REQUESTER_ID, [ENGINE_UPDATE_ATTRIBUTE])
         self.allowlist: dict[str, list[str]] = config["allowlist"]
         self.admin_ids: set[str] = set(config["admin_ids"])
         self.aa = AttributeAuthority(self.data_dir / "aa", passphrase, self.clock,
-                                     self.allowlist, config["k_bits"], rng)
+                                     self.allowlist, rng)
         if not self.aa.initialized:
             self.aa.setup()
         self.ct_store = CtStore(self.data_dir / "ct")
@@ -456,7 +450,7 @@ class Deployment:
         self.routes = {"aa": self.aa.routes(), "internal": self.internal.routes(),
                        "external": self.external.routes(), "admin": self.admin.routes()}
 
-    def _load_or_init_config(self, allowlist, admin_ids, k_bits) -> dict:
+    def _load_or_init_config(self, allowlist, admin_ids) -> dict:
         path = self.data_dir / "config.json"
         if path.exists():
             config = json.loads(path.read_text("utf-8"))
@@ -471,8 +465,7 @@ class Deployment:
                 return config
         else:
             config = {"allowlist": {k: list(v) for k, v in (allowlist or {}).items()},
-                      "admin_ids": sorted(admin_ids or {"admin"}),
-                      "k_bits": k_bits}
+                      "admin_ids": sorted(admin_ids or {"admin"})}
         atomic_write(path, json.dumps(config, indent=2, sort_keys=True).encode("utf-8"))
         return config
 

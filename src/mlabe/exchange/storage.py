@@ -19,7 +19,11 @@ pass ends. Each rename is atomic, so a reader, which takes no lock, sees
 either the old or the new record, both whole and digest-verified.
 
 A ciphertext record is one JSON object, ``<id>.json``, holding the
-container bytes as base64 (``ct_b64``) beside eight metadata fields.
+container bytes as base64 (``ct_b64``) beside seven metadata fields.
+Keys the layout no longer uses, such as an older record's
+``layer_policy_digest``, are ignored on read and dropped when the record
+is next rewritten. A file that does not decode to a record raises
+``StoreFailure``.
 Records are content-addressed by the hash of the container bytes at
 publication; that id stays the record's stable handle across policy
 updates, while a separate digest always tracks the current bytes and is
@@ -32,7 +36,9 @@ from the copy the scan has just read and verified, and stages it without
 reading the file again. A pass holds an exclusive ``flock`` on
 ``.relayer.lock`` in the record directory (``CtStore.pass_lock``), so
 passes run one at a time across every process and thread sharing the
-directory, and no newer version can land in between. Policy definitions
+directory, and no newer version can land in between. ``pass_lock``
+yields the pass's group commit, and ``update`` stages into it: a record
+is only ever replaced inside a pass. Policy definitions
 and incident appends hold the same kind of lock (``_exclusive``) across
 their read-modify-write.
 """
@@ -181,7 +187,6 @@ class CtRecord:
     updated_at: int
     policy_name: str
     policy_version: int
-    layer_policy_digest: str
     content_digest: str
 
     def to_json(self) -> bytes:
@@ -192,7 +197,6 @@ class CtRecord:
             "updated_at": self.updated_at,
             "policy_name": self.policy_name,
             "policy_version": self.policy_version,
-            "layer_policy_digest": self.layer_policy_digest,
             "content_digest": self.content_digest,
         }, sort_keys=True).encode("utf-8")
         # Base64 text never needs JSON escaping, so it is appended as is.
@@ -210,14 +214,8 @@ class CtRecord:
             updated_at=obj["updated_at"],
             policy_name=obj["policy_name"],
             policy_version=obj["policy_version"],
-            layer_policy_digest=obj["layer_policy_digest"],
             content_digest=obj["content_digest"],
         )
-
-
-def layer_policy_digest(layer_policies: tuple[str, ...]) -> str:
-    blob = "\n".join(layer_policies).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 class CtStore:
@@ -226,8 +224,6 @@ class CtStore:
     def __init__(self, root: Path):
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
-        # The group commit of the pass this thread is running, if any.
-        self._pass = threading.local()
 
     def _path(self, record_id: str) -> Path:
         if not record_id or any(c not in "0123456789abcdef" for c in record_id):
@@ -235,40 +231,34 @@ class CtStore:
         return self._root / f"{record_id}.json"
 
     def put_new(self, ct: bytes, n_layers: int, policy_name: str,
-                policy_version: int, layer_policies: tuple[str, ...],
-                clock: LogicalClock) -> CtRecord:
+                policy_version: int, clock: LogicalClock) -> CtRecord:
         record_id = content_id(ct)
         now = clock.now()
         record = CtRecord(
             id=record_id, ct=ct, n_layers=n_layers,
             created_at=now, updated_at=now,
             policy_name=policy_name, policy_version=policy_version,
-            layer_policy_digest=layer_policy_digest(layer_policies),
             content_digest=record_id,
         )
         atomic_write(self._path(record_id), record.to_json())
         return record
 
-    def update(self, record: CtRecord, ct: bytes, n_layers: int,
-               policy_version: int, layer_policies: tuple[str, ...],
+    def update(self, group: _GroupCommit, record: CtRecord, ct: bytes,
+               n_layers: int, policy_version: int,
                clock: LogicalClock) -> CtRecord:
-        """Replace `record`, as just read through `get`, with new bytes.
+        """Stage the replacement of `record`, as just read through `get`,
+        into `group`, the group commit ``pass_lock`` yielded.
 
-        The file is not read again: callers serialize updates of a record,
-        so `record` is still its stored state. `record` is not mutated.
-        Inside ``pass_lock`` the replacement is only staged; it is durable
-        and visible once the pass's block ends.
+        The file is not read again: the pass lock serializes updates of a
+        record, so `record` is still its stored state. `record` is not
+        mutated. The replacement is durable and visible once the pass's
+        block ends.
         """
         updated = dataclasses.replace(
             record, ct=ct, n_layers=n_layers, policy_version=policy_version,
-            layer_policy_digest=layer_policy_digest(layer_policies),
             content_digest=content_id(ct),
             updated_at=max(clock.now(), record.updated_at))
-        group = getattr(self._pass, "group", None)
-        if group is None:
-            atomic_write(self._path(record.id), updated.to_json())
-        else:
-            group.stage(self._path(record.id), updated.to_json())
+        group.stage(self._path(record.id), updated.to_json())
         return updated
 
     def get(self, record_id: str) -> CtRecord:
@@ -276,15 +266,19 @@ class CtStore:
             data = self._path(record_id).read_bytes()
         except FileNotFoundError:
             raise NotFound(f"no such ciphertext record: {record_id}") from None
-        record = CtRecord.from_json(data)
+        try:
+            record = CtRecord.from_json(data)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StoreFailure(f"record {record_id} corrupt: {exc!r}") from exc
         if content_id(record.ct) != record.content_digest:
             raise StoreFailure(f"record {record_id} corrupt: digest mismatch")
         return record
 
     @contextlib.contextmanager
-    def pass_lock(self) -> Iterator[None]:
+    def pass_lock(self) -> Iterator[_GroupCommit]:
         """Hold the exclusive re-layer lock for the duration of the block,
-        and group-commit the block's ``update`` calls when it ends.
+        and yield the group commit that the block's ``update`` calls stage
+        into; it commits when the block ends.
 
         The lock file's name does not end in ``.json``, so ``ids`` never
         lists it. The commit runs under the lock, also when the block
@@ -292,11 +286,10 @@ class CtStore:
         visible, then the error propagates.
         """
         with _exclusive(self._root / ".relayer.lock"):
-            group = self._pass.group = _GroupCommit()
+            group = _GroupCommit()
             try:
-                yield
+                yield group
             finally:
-                self._pass.group = None
                 group.commit()
 
     def ids(self) -> list[str]:
@@ -339,26 +332,30 @@ class PolicyStore:
 
     def define(self, name: str, layers: list[str], clock: LogicalClock) -> PolicyRecord:
         with _exclusive(self._root / ".define.lock"):
-            path = self._path(name)
-            if path.exists():
+            try:
                 record = self.get(name)
-                record.version += 1
-                record.layers = list(layers)
-            else:
-                record = PolicyRecord(name=name, layers=list(layers), version=1)
+            except NotFound:
+                record = PolicyRecord(name=name, layers=[], version=0)
+            record.version += 1
+            record.layers = list(layers)
             record.history.append({"version": record.version,
                                    "layers": list(layers),
                                    "at": clock.now()})
-            atomic_write(path, json.dumps(record.__dict__, sort_keys=True).encode("utf-8"))
+            atomic_write(self._path(name),
+                         json.dumps(record.__dict__, sort_keys=True).encode("utf-8"))
             return record
 
     def get(self, name: str) -> PolicyRecord:
-        path = self._path(name)
-        if not path.exists():
-            raise NotFound(f"no such policy: {name}")
-        obj = json.loads(path.read_bytes())
-        return PolicyRecord(name=obj["name"], layers=obj["layers"],
-                            version=obj["version"], history=obj["history"])
+        try:
+            data = self._path(name).read_bytes()
+        except FileNotFoundError:
+            raise NotFound(f"no such policy: {name}") from None
+        try:
+            obj = json.loads(data)
+            return PolicyRecord(name=obj["name"], layers=obj["layers"],
+                                version=obj["version"], history=obj["history"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StoreFailure(f"policy {name} corrupt: {exc!r}") from exc
 
     def names(self) -> list[str]:
         out = []

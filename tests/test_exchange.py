@@ -15,10 +15,12 @@ from support import frames_contain_secret, make_rng
 
 from mlabe.containers import HybridCiphertext
 from mlabe.errors import (
+    ERROR_CLASSES,
     AlreadyInitialized,
     EngineUnreachable,
     ExchangeError,
     NotFound,
+    PolicySyntaxError,
     PolicyUnsatisfied,
     StoreFailure,
     Unauthorized,
@@ -26,6 +28,7 @@ from mlabe.errors import (
 from mlabe.exchange.services import Consumer, DataOwner, Deployment
 from mlabe.exchange.storage import ManualClock
 from mlabe.exchange.transport import (
+    LocalClient,
     ServiceClient,
     ServiceServer,
     TransportTap,
@@ -90,6 +93,24 @@ def deployment(tmp_path):
     return dep
 
 
+def _raise_named(params: dict, caller: str):
+    raise ERROR_CLASSES[params["name"]]("boom")
+
+
+@pytest.fixture(scope="class", params=["served", "local"])
+def raiser(request):
+    """A client of one route that raises the error class it is named."""
+    routes = {"POST /raise": _raise_named}
+    if request.param == "local":
+        yield LocalClient(routes)
+    else:
+        server = ServiceServer("raiser", routes).start()
+        try:
+            yield ServiceClient(server.address)
+        finally:
+            server.stop()
+
+
 class TestAttributeAuthority:
     def test_setup_then_already_initialized(self, tmp_path):
         dep = Deployment(tmp_path / "d", "pw", clock=ManualClock(), allowlist=ALLOW)
@@ -98,9 +119,23 @@ class TestAttributeAuthority:
 
     def test_mpk_stable_across_restart(self, tmp_path):
         first = Deployment(tmp_path / "d", "pw", clock=ManualClock(), allowlist=ALLOW)
-        mpk_bytes = first.aa.mpk_bytes()
+        mpk_bytes = first.aa.mpk.to_bytes()
         second = Deployment(tmp_path / "d", "pw", clock=ManualClock())
-        assert second.aa.mpk_bytes() == mpk_bytes
+        assert second.aa.mpk.to_bytes() == mpk_bytes
+
+    def test_config_naming_the_security_parameter_opens_unchanged(self, tmp_path):
+        """A config.json that still has the former ``k_bits`` field opens,
+        and opening it rewrites nothing."""
+        first = Deployment(tmp_path / "d", "pw", clock=ManualClock(), allowlist=ALLOW)
+        path = tmp_path / "d" / "config.json"
+        config = json.loads(path.read_text("utf-8"))
+        assert "k_bits" not in config
+        path.write_text(json.dumps(dict(config, k_bits=256), indent=2, sort_keys=True))
+        before = path.read_bytes()
+        second = Deployment(tmp_path / "d", "pw", clock=ManualClock())
+        assert path.read_bytes() == before
+        assert second.mpk == first.mpk
+        assert second.allowlist["bob"] == ["Mechanic"]
 
     def test_config_changes_survive_reopen(self, tmp_path):
         Deployment(tmp_path / "d", "pw", clock=ManualClock(), allowlist=ALLOW)
@@ -335,11 +370,11 @@ class TestPolicyUpdate:
         real_update = deployment.ct_store.update
         calls: list[str] = []
 
-        def failing_second(record, *args):
+        def failing_second(group, record, *args):
             calls.append(record.id)
             if len(calls) == 2:
                 raise StoreFailure("disk full")
-            return real_update(record, *args)
+            return real_update(group, record, *args)
         monkeypatch.setattr(deployment.ct_store, "update", failing_second)
         with pytest.raises(StoreFailure):
             deployment.admin.update_policy("admin", "vc", ["(Boss)"])
@@ -587,6 +622,18 @@ class TestWire:
         with pytest.raises(Unauthorized):
             client("aa", caller="mallory").request(
                 "POST /keygen", {"attributes": ["Staff"]})
+
+    def test_policy_syntax_error_reaches_the_caller(self, client):
+        with pytest.raises(PolicySyntaxError, match="at position"):
+            client("admin", caller="admin").request(
+                "POST /policy", {"name": "vc", "layers": ["(A AND"]})
+
+    @pytest.mark.parametrize("name", sorted(ERROR_CLASSES))
+    def test_every_error_class_reaches_the_caller(self, raiser, name):
+        with pytest.raises(ERROR_CLASSES[name]) as caught:
+            raiser.request("POST /raise", {"name": name})
+        assert type(caught.value) is ERROR_CLASSES[name]
+        assert str(caught.value) == "boom"
 
     @staticmethod
     def _assert_error_frame_then_serving(body: bytes) -> None:

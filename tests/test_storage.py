@@ -30,7 +30,7 @@ class TestCtStore:
     def test_content_addressing(self, tmp_path):
         store = CtStore(tmp_path)
         clock = ManualClock(100)
-        record = store.put_new(b"ciphertext-bytes", 2, "vc", 1, ("(A)", "(B)"), clock)
+        record = store.put_new(b"ciphertext-bytes", 2, "vc", 1, clock)
         assert record.id == content_id(b"ciphertext-bytes")
         fetched = store.get(record.id)
         assert fetched.ct == b"ciphertext-bytes"
@@ -39,11 +39,13 @@ class TestCtStore:
     def test_update_keeps_id_and_tracks_digest(self, tmp_path):
         store = CtStore(tmp_path)
         clock = ManualClock(100)
-        record = store.put_new(b"v1", 1, "vc", 1, ("(A)",), clock)
+        record = store.put_new(b"v1", 1, "vc", 1, clock)
         clock.advance(5)
         read = store.get(record.id)
         snapshot = dataclasses.replace(read)
-        updated = store.update(read, b"v2-bytes", 1, 2, ("(A AND B)",), clock)
+        with store.pass_lock() as group:
+            updated = store.update(group, read, b"v2-bytes", 1, 2, clock)
+            assert store.get(record.id) == read  # staged, not yet visible
         assert read == snapshot  # the caller's record is not mutated
         assert updated.id == record.id
         assert updated.content_digest == content_id(b"v2-bytes")
@@ -57,7 +59,7 @@ class TestCtStore:
         record = CtRecord(
             id="ab" * 32, ct=bytes(range(256)) * 3, n_layers=3, created_at=7,
             updated_at=9, policy_name='vc "quoted" \\ é', policy_version=2,
-            layer_policy_digest="cd" * 32, content_digest="ef" * 32)
+            content_digest="ef" * 32)
         data = record.to_json()
         assert CtRecord.from_json(data) == record
         fields = {f.name: getattr(record, f.name)
@@ -70,9 +72,34 @@ class TestCtStore:
         with pytest.raises(NotFound):
             CtStore(tmp_path).get("ab" * 32)
 
+    def test_record_with_a_layer_policy_digest_loads_and_is_rewritten_without_it(
+            self, tmp_path):
+        """A record in the earlier layout, which also stored
+        ``layer_policy_digest``, reads back digest-verified, and a pass
+        rewrites it without that key."""
+        store = CtStore(tmp_path)
+        ct = b"stored under the earlier layout"
+        record_id = content_id(ct)
+        path = tmp_path / f"{record_id}.json"
+        path.write_bytes(
+            b'{"content_digest": "%s", "created_at": 7, "id": "%s", '
+            b'"layer_policy_digest": "%s", "n_layers": 2, "policy_name": "vc", '
+            b'"policy_version": 1, "updated_at": 7, "ct_b64": "%s"}'
+            % (record_id.encode(), record_id.encode(), b"cd" * 32, base64.b64encode(ct)))
+        read = store.get(record_id)
+        assert read == CtRecord(id=record_id, ct=ct, n_layers=2, created_at=7,
+                                updated_at=7, policy_name="vc", policy_version=1,
+                                content_digest=record_id)
+        with store.pass_lock() as group:
+            store.update(group, read, b"re-layered", 2, 2, ManualClock(9))
+        stored = json.loads(path.read_bytes())
+        assert "layer_policy_digest" not in stored
+        assert stored["policy_version"] == 2
+        assert store.get(record_id).ct == b"re-layered"
+
     def test_corruption_detected(self, tmp_path):
         store = CtStore(tmp_path)
-        record = store.put_new(b"data", 0, "vc", 1, (), ManualClock())
+        record = store.put_new(b"data", 0, "vc", 1, ManualClock())
         path = tmp_path / f"{record.id}.json"
         obj = json.loads(path.read_text())
         obj["ct_b64"] = "Y29ycnVwdA=="  # different bytes, stale digest
@@ -83,9 +110,9 @@ class TestCtStore:
     def test_by_policy(self, tmp_path):
         store = CtStore(tmp_path)
         clock = ManualClock()
-        store.put_new(b"one", 0, "vc", 1, (), clock)
-        store.put_new(b"two", 0, "other", 1, (), clock)
-        store.put_new(b"three", 0, "vc", 1, (), clock)
+        store.put_new(b"one", 0, "vc", 1, clock)
+        store.put_new(b"two", 0, "other", 1, clock)
+        store.put_new(b"three", 0, "vc", 1, clock)
         assert {r.ct for r in store.by_policy("vc")} == {b"one", b"three"}
 
     def test_reads_during_a_pass_see_old_or_new_records(self, tmp_path, monkeypatch):
@@ -93,7 +120,7 @@ class TestCtStore:
         pass's commit, reads every record whole and digest-verified."""
         store = CtStore(tmp_path)
         clock = ManualClock()
-        old = {store.put_new(b"v1 %d" % i, 0, "vc", 1, (), clock).id: b"v1 %d" % i
+        old = {store.put_new(b"v1 %d" % i, 0, "vc", 1, clock).id: b"v1 %d" % i
                for i in range(4)}
         new = {record_id: b"v2 " + ct for record_id, ct in old.items()}
         first_loop, done = threading.Event(), threading.Event()
@@ -124,9 +151,9 @@ class TestCtStore:
         thread = threading.Thread(target=reader)
         thread.start()
         assert first_loop.wait(timeout=10)
-        with store.pass_lock():
+        with store.pass_lock() as group:
             for record in store.by_policy("vc"):
-                store.update(record, new[record.id], 0, 2, (), clock)
+                store.update(group, record, new[record.id], 0, 2, clock)
         done.set()
         thread.join(timeout=10)
         assert not thread.is_alive()
@@ -135,6 +162,28 @@ class TestCtStore:
         assert set(seen) <= allowed
         assert {(ct, 1) for ct in old.values()} <= set(seen)
         assert set(seen[-len(new):]) == {(ct, 2) for ct in new.values()}
+
+
+# Contents that do not decode to a record or a policy definition.
+MALFORMED_FILES = {"not-json": b"{not json", "missing-field": b"{}",
+                   "not-an-object": b"[1, 2]"}
+
+
+@pytest.mark.parametrize("content", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+@pytest.mark.parametrize("kind", ["record", "policy"])
+def test_malformed_file_raises_store_failure(tmp_path, kind, content):
+    clock = ManualClock()
+    if kind == "record":
+        store = CtStore(tmp_path)
+        key = store.put_new(b"data", 0, "vc", 1, clock).id
+    else:
+        store = PolicyStore(tmp_path)
+        key = "vc"
+        store.define(key, ["(A)"], clock)
+    (path,) = tmp_path.glob("*.json")
+    path.write_bytes(content)
+    with pytest.raises(StoreFailure, match="corrupt"):
+        store.get(key)
 
 
 class TestAtomicWrite:
