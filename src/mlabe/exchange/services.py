@@ -46,6 +46,7 @@ from ..containers import HybridCiphertext
 from ..errors import (
     AlreadyInitialized,
     NotInitialized,
+    StoreFailure,
     Unauthorized,
 )
 from ..hybrid import hybrid_encrypt
@@ -453,7 +454,13 @@ class Deployment:
     def _load_or_init_config(self, allowlist, admin_ids) -> dict:
         path = self.data_dir / "config.json"
         if path.exists():
-            config = json.loads(path.read_text("utf-8"))
+            try:
+                config = json.loads(path.read_text("utf-8"))
+                if not (isinstance(config["allowlist"], dict)
+                        and isinstance(config["admin_ids"], list)):
+                    raise TypeError("allowlist must be an object, admin_ids a list")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise StoreFailure(f"config {path} corrupt: {exc!r}") from exc
             changed = False
             if allowlist:
                 config["allowlist"].update({k: list(v) for k, v in allowlist.items()})
@@ -502,8 +509,8 @@ class ServedDeployment:
     def address(self, name: str) -> tuple[str, int]:
         return self.servers[name].address
 
-    def client(self, name: str, caller: str = "", **kwargs) -> ServiceClient:
-        return ServiceClient(self.address(name), caller=caller, tap=self.tap, **kwargs)
+    def client(self, name: str, caller: str = "") -> ServiceClient:
+        return ServiceClient(self.address(name), caller=caller, tap=self.tap)
 
     def stop(self) -> None:
         for server in self.servers.values():

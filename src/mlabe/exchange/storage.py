@@ -18,12 +18,14 @@ one group: its records are fsynced back to back and renamed when the
 pass ends. Each rename is atomic, so a reader, which takes no lock, sees
 either the old or the new record, both whole and digest-verified.
 
-A ciphertext record is one JSON object, ``<id>.json``, holding the
-container bytes as base64 (``ct_b64``) beside seven metadata fields.
-Keys the layout no longer uses, such as an older record's
-``layer_policy_digest``, are ignored on read and dropped when the record
-is next rewritten. A file that does not decode to a record raises
-``StoreFailure``.
+A ciphertext record, ``<id>.json``, is a frame body as the transport
+writes it (``encode_frame``; PROTOCOL.md, "Frame format (version 2)")
+without the frame length: a JSON header of the seven metadata fields,
+then the container bytes, raw, as section 0. The suffix stays ``.json``
+because ``ids`` and the served benchmark's store size list ``*.json``.
+A file that does not decode to a record raises ``StoreFailure``, as does
+a record in the earlier layout (one JSON object, the container in
+base64): there is no migration; republish such a data directory.
 Records are content-addressed by the hash of the container bytes at
 publication; that id stays the record's stable handle across policy
 updates, while a separate digest always tracks the current bytes and is
@@ -60,6 +62,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterator, Protocol
 
 from ..errors import NotFound, StoreFailure
+from .transport import decode_frame, encode_frame
 
 
 class LogicalClock(Protocol):
@@ -189,33 +192,12 @@ class CtRecord:
     policy_version: int
     content_digest: str
 
-    def to_json(self) -> bytes:
-        head = json.dumps({
-            "id": self.id,
-            "n_layers": self.n_layers,
-            "created_at": self.created_at,
-            "updated_at": self.updated_at,
-            "policy_name": self.policy_name,
-            "policy_version": self.policy_version,
-            "content_digest": self.content_digest,
-        }, sort_keys=True).encode("utf-8")
-        # Base64 text never needs JSON escaping, so it is appended as is.
-        return b"".join((head[:-1], b', "ct_b64": "',
-                         base64.b64encode(self.ct), b'"}'))
+    def to_bytes(self) -> bytes:
+        return encode_frame(vars(self))
 
     @classmethod
-    def from_json(cls, data: bytes) -> "CtRecord":
-        obj = json.loads(data)
-        return cls(
-            id=obj["id"],
-            ct=base64.b64decode(obj["ct_b64"]),
-            n_layers=obj["n_layers"],
-            created_at=obj["created_at"],
-            updated_at=obj["updated_at"],
-            policy_name=obj["policy_name"],
-            policy_version=obj["policy_version"],
-            content_digest=obj["content_digest"],
-        )
+    def from_bytes(cls, data: bytes) -> "CtRecord":
+        return cls(**decode_frame(data))
 
 
 class CtStore:
@@ -240,7 +222,7 @@ class CtStore:
             policy_name=policy_name, policy_version=policy_version,
             content_digest=record_id,
         )
-        atomic_write(self._path(record_id), record.to_json())
+        atomic_write(self._path(record_id), record.to_bytes())
         return record
 
     def update(self, group: _GroupCommit, record: CtRecord, ct: bytes,
@@ -258,7 +240,7 @@ class CtStore:
             record, ct=ct, n_layers=n_layers, policy_version=policy_version,
             content_digest=content_id(ct),
             updated_at=max(clock.now(), record.updated_at))
-        group.stage(self._path(record.id), updated.to_json())
+        group.stage(self._path(record.id), updated.to_bytes())
         return updated
 
     def get(self, record_id: str) -> CtRecord:
@@ -267,10 +249,11 @@ class CtStore:
         except FileNotFoundError:
             raise NotFound(f"no such ciphertext record: {record_id}") from None
         try:
-            record = CtRecord.from_json(data)
-        except (ValueError, KeyError, TypeError) as exc:
+            record = CtRecord.from_bytes(data)
+            intact = content_id(record.ct) == record.content_digest
+        except (ValueError, TypeError) as exc:
             raise StoreFailure(f"record {record_id} corrupt: {exc!r}") from exc
-        if content_id(record.ct) != record.content_digest:
+        if not intact:
             raise StoreFailure(f"record {record_id} corrupt: digest mismatch")
         return record
 
@@ -398,10 +381,19 @@ class SecurityEventLog:
         except FileNotFoundError:
             return
         complete = tail[:tail.rfind(b"\n") + 1]
-        for line in complete.decode("utf-8").splitlines():
-            if line.strip():
-                obj = json.loads(line)
-                self._events.append((obj["t_incident"], obj["reason"]))
+        events = []
+        try:
+            for line in complete.decode("utf-8").splitlines():
+                if line.strip():
+                    obj = json.loads(line)
+                    if type(obj["t_incident"]) is not int:
+                        raise TypeError(f"t_incident {obj['t_incident']!r} is not an integer")
+                    events.append((obj["t_incident"], obj["reason"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            # No line is skipped: a skipped incident could lower T_incident.
+            # The offset stays put, so every later read fails again.
+            raise StoreFailure(f"incident log {self._path} corrupt: {exc!r}") from exc
+        self._events += events
         self._offset += len(complete)
 
     def _current(self) -> int:

@@ -45,8 +45,11 @@ Handler = Callable[[dict, str], Any]
 
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 # Seconds the server waits on each read or write of an accepted connection,
-# the same as the client's default timeout.
+# and the client on its connect and on each read or write.
 CONNECTION_TIMEOUT_S = 10.0
+# Client connect attempts, and the first wait between them; each later wait doubles.
+CONNECT_ATTEMPTS = 3
+CONNECT_BACKOFF_S = 0.05
 
 
 class TransportTap:
@@ -277,27 +280,23 @@ class ServiceClient:
     """
 
     def __init__(self, address: tuple[str, int], caller: str = "",
-                 tap: TransportTap | None = None, attempts: int = 3,
-                 backoff: float = 0.05, timeout: float = 10.0):
+                 tap: TransportTap | None = None):
         self._address = address
         self._caller = caller
         self._tap = tap
-        self._attempts = max(1, attempts)
-        self._backoff = backoff
-        self._timeout = timeout
 
     def _connect(self) -> socket.socket:
         last_error: OSError | None = None
-        for attempt in range(self._attempts):
+        for attempt in range(CONNECT_ATTEMPTS):
             if attempt:
-                time.sleep(self._backoff * (2 ** (attempt - 1)))
+                time.sleep(CONNECT_BACKOFF_S * (2 ** (attempt - 1)))
             try:
-                return socket.create_connection(self._address, timeout=self._timeout)
+                return socket.create_connection(self._address, timeout=CONNECTION_TIMEOUT_S)
             except OSError as exc:
                 last_error = exc
         raise EngineUnreachable(
             f"{self._address[0]}:{self._address[1]} unreachable "
-            f"after {self._attempts} attempts: {last_error}")
+            f"after {CONNECT_ATTEMPTS} attempts: {last_error}")
 
     def request(self, op: str, params: dict | None = None) -> Any:
         payload = {"op": op, "caller": self._caller, "params": params or {}}

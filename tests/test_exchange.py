@@ -25,6 +25,7 @@ from mlabe.errors import (
     StoreFailure,
     Unauthorized,
 )
+from mlabe.exchange import transport
 from mlabe.exchange.services import Consumer, DataOwner, Deployment
 from mlabe.exchange.storage import ManualClock
 from mlabe.exchange.transport import (
@@ -203,14 +204,15 @@ class TestPublish:
             owner.publish(b"data", parse_policy("(Staff)"), "nope",
                           deployment.client("internal"))
 
-    def test_engine_unreachable_after_retries(self, deployment):
+    def test_engine_unreachable_after_retries(self, deployment, monkeypatch):
+        monkeypatch.setattr(transport, "CONNECT_BACKOFF_S", 0.01)
+        monkeypatch.setattr(transport, "CONNECTION_TIMEOUT_S", 0.2)
         owner = DataOwner(deployment.mpk, make_rng("do"))
-        dead = ServiceClient(("127.0.0.1", 9), caller="do1",
-                             attempts=3, backoff=0.01, timeout=0.2)
+        dead = ServiceClient(("127.0.0.1", 9), caller="do1")
         with pytest.raises(EngineUnreachable):
             owner.publish(b"data", parse_policy("(Staff)"), "vc", dead)
 
-    def test_sent_request_is_not_resent(self):
+    def test_sent_request_is_not_resent(self, monkeypatch):
         """A listener that reads one frame and hangs up without replying:
         the client must report the engine unreachable after exactly one
         delivery, because the server may already have acted on it."""
@@ -231,8 +233,9 @@ class TestPublish:
 
             server = threading.Thread(target=read_and_hang_up, daemon=True)
             server.start()
-            client = ServiceClient(listener.getsockname()[:2], caller="admin",
-                                   attempts=3, backoff=0.01, timeout=2)
+            monkeypatch.setattr(transport, "CONNECT_BACKOFF_S", 0.01)
+            monkeypatch.setattr(transport, "CONNECTION_TIMEOUT_S", 2)
+            client = ServiceClient(listener.getsockname()[:2], caller="admin")
             with pytest.raises(EngineUnreachable, match="not resent"):
                 client.request("POST /incident", {})
             server.join(timeout=5)
@@ -662,7 +665,8 @@ class TestWire:
         self._assert_error_frame_then_serving(body)
 
     @staticmethod
-    def _answer_once(body: bytes, expected: type[Exception]) -> Exception:
+    def _answer_once(body: bytes, expected: type[Exception],
+                     monkeypatch: pytest.MonkeyPatch) -> Exception:
         """A listener that reads one request frame and answers with `body`;
         returns what the client raised."""
         with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -674,25 +678,27 @@ class TestWire:
                     conn.sendall(_u32(len(body)) + body)
             thread = threading.Thread(target=answer)
             thread.start()
+            monkeypatch.setattr(transport, "CONNECT_ATTEMPTS", 1)
             with pytest.raises(expected) as caught:
-                ServiceClient(listener.getsockname(), attempts=1).request("GET /health")
+                ServiceClient(listener.getsockname()).request("GET /health")
             thread.join(timeout=5)
             assert not thread.is_alive()
         return caught.value
 
     @pytest.mark.parametrize("body", [b"[1]", b'"s"'])
-    def test_non_object_response_frame_raises(self, body):
+    def test_non_object_response_frame_raises(self, body, monkeypatch):
         """A response frame whose header is not a JSON object fails closed
         with an ExchangeError, not a raw Python error."""
-        assert type(self._answer_once(_body(body), ExchangeError)) is ExchangeError
+        caught = self._answer_once(_body(body), ExchangeError, monkeypatch)
+        assert type(caught) is ExchangeError
 
     @pytest.mark.parametrize("body", [MALFORMED_BODIES[k] for k in (
         "truncated-header-length", "section-past-frame-end", "marker-out-of-range",
         "old-format-bare-json")])
-    def test_malformed_response_frame_is_unreachable(self, body):
+    def test_malformed_response_frame_is_unreachable(self, body, monkeypatch):
         """Any other malformed response frame reads as a failure after the
         request was sent, as an unparseable response always has."""
-        self._answer_once(body, EngineUnreachable)
+        self._answer_once(body, EngineUnreachable, monkeypatch)
 
     @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
     def test_codec_refuses_malformed_body_with_value_error(self, body):
@@ -727,8 +733,6 @@ class TestWire:
     def test_idle_connection_times_out(self, monkeypatch):
         """The server drops a connection that sends nothing before the
         deadline, and keeps serving."""
-        import mlabe.exchange.transport as transport
-
         monkeypatch.setattr(transport, "CONNECTION_TIMEOUT_S", 0.2)
         server = ServiceServer("probe", {}).start()
         try:
@@ -827,3 +831,35 @@ class TestWire:
         record = deployment.ct_store.get(record_id)
         sealed_payload = HybridCiphertext.from_bytes(record.ct).ct_aes.body
         assert frames_contain_secret(frames, sealed_payload[:64])
+
+    def test_store_holds_no_secret(self, deployment):
+        """Publish, update and fetch over TCP, then scan every record file
+        as the wire scan reads a frame body: neither the payload nor the
+        symmetric key is stored, while the sealed payload, in the record's
+        section, is found."""
+        plaintext = make_rng("stored-payload")(16 * 1024)
+        drawn: list[bytes] = []
+        inner_rng = make_rng("stored-producer")
+
+        def recording_rng(n: int) -> bytes:
+            drawn.append(inner_rng(n))
+            return drawn[-1]
+
+        with deployment.serve() as served:
+            owner = DataOwner(deployment.mpk, recording_rng)
+            record_id = owner.publish(plaintext, parse_policy("(Staff)"), "vc",
+                                      served.client("internal", caller="do1"))
+            result = served.client("admin", caller="admin").request(
+                "POST /policy/update", {"name": "vc", "layers": ["(Staff)", "(Mechanic)"]})
+            assert result["updated"] == [record_id]
+            key = deployment.issue_key("alice", ["Mechanic", "Staff"])
+            recovered = Consumer(deployment.mpk, key).fetch_and_decrypt(
+                record_id, served.client("external", caller="alice"))
+        assert recovered == plaintext
+        stored = [("store", path.read_bytes())
+                  for path in (deployment.data_dir / "ct").glob("*.json")]
+        assert len(stored) == 1
+        sealed = HybridCiphertext.from_bytes(deployment.ct_store.get(record_id).ct).ct_aes.body
+        assert frames_contain_secret(stored, sealed[:64])
+        assert not frames_contain_secret(stored, plaintext)
+        assert not frames_contain_secret(stored, drawn[0])

@@ -6,6 +6,7 @@ import base64
 import dataclasses
 import json
 import os
+import re
 import stat
 import threading
 import time
@@ -14,6 +15,7 @@ import pytest
 
 from mlabe.errors import NotFound, StoreFailure
 from mlabe.exchange import storage
+from mlabe.exchange.services import Deployment
 from mlabe.exchange.storage import (
     CtRecord,
     CtStore,
@@ -24,6 +26,7 @@ from mlabe.exchange.storage import (
     atomic_write,
     content_id,
 )
+from mlabe.exchange.transport import decode_frame, encode_frame
 
 
 class TestCtStore:
@@ -55,56 +58,59 @@ class TestCtStore:
         again = store.get(record.id)
         assert again.ct == b"v2-bytes"
 
-    def test_to_json_appends_base64_last(self):
+    def test_record_round_trips_as_a_frame_body(self):
         record = CtRecord(
             id="ab" * 32, ct=bytes(range(256)) * 3, n_layers=3, created_at=7,
             updated_at=9, policy_name='vc "quoted" \\ é', policy_version=2,
             content_digest="ef" * 32)
-        data = record.to_json()
-        assert CtRecord.from_json(data) == record
-        fields = {f.name: getattr(record, f.name)
-                  for f in dataclasses.fields(record) if f.name != "ct"}
-        expected = dict(fields, ct_b64=base64.b64encode(record.ct).decode("ascii"))
-        assert json.loads(data) == expected
-        assert len(data) == len(json.dumps(expected, sort_keys=True))
+        data = record.to_bytes()
+        assert CtRecord.from_bytes(data) == record
+        assert decode_frame(data) == vars(record)
 
     def test_missing_record(self, tmp_path):
         with pytest.raises(NotFound):
             CtStore(tmp_path).get("ab" * 32)
 
-    def test_record_with_a_layer_policy_digest_loads_and_is_rewritten_without_it(
-            self, tmp_path):
-        """A record in the earlier layout, which also stored
-        ``layer_policy_digest``, reads back digest-verified, and a pass
-        rewrites it without that key."""
+    def test_record_in_the_old_json_layout_is_refused(self, tmp_path):
+        """A record written before records became frame bodies, one JSON
+        object with the container as base64, is refused, not migrated."""
         store = CtStore(tmp_path)
         ct = b"stored under the earlier layout"
         record_id = content_id(ct)
-        path = tmp_path / f"{record_id}.json"
-        path.write_bytes(
+        (tmp_path / f"{record_id}.json").write_bytes(
             b'{"content_digest": "%s", "created_at": 7, "id": "%s", '
-            b'"layer_policy_digest": "%s", "n_layers": 2, "policy_name": "vc", '
-            b'"policy_version": 1, "updated_at": 7, "ct_b64": "%s"}'
-            % (record_id.encode(), record_id.encode(), b"cd" * 32, base64.b64encode(ct)))
-        read = store.get(record_id)
-        assert read == CtRecord(id=record_id, ct=ct, n_layers=2, created_at=7,
-                                updated_at=7, policy_name="vc", policy_version=1,
-                                content_digest=record_id)
-        with store.pass_lock() as group:
-            store.update(group, read, b"re-layered", 2, 2, ManualClock(9))
-        stored = json.loads(path.read_bytes())
-        assert "layer_policy_digest" not in stored
-        assert stored["policy_version"] == 2
-        assert store.get(record_id).ct == b"re-layered"
+            b'"n_layers": 2, "policy_name": "vc", "policy_version": 1, '
+            b'"updated_at": 7, "ct_b64": "%s"}'
+            % (record_id.encode(), record_id.encode(), base64.b64encode(ct)))
+        with pytest.raises(StoreFailure, match=f"record {record_id} corrupt"):
+            store.get(record_id)
 
     def test_corruption_detected(self, tmp_path):
+        """One flipped byte inside the container's section, under an
+        untouched header, fails the digest check."""
         store = CtStore(tmp_path)
         record = store.put_new(b"data", 0, "vc", 1, ManualClock())
         path = tmp_path / f"{record.id}.json"
-        obj = json.loads(path.read_text())
-        obj["ct_b64"] = "Y29ycnVwdA=="  # different bytes, stale digest
-        path.write_text(json.dumps(obj))
-        with pytest.raises(StoreFailure):
+        data = bytearray(path.read_bytes())
+        assert data.endswith(b"data")
+        data[-2] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreFailure, match="digest mismatch"):
+            store.get(record.id)
+
+    @pytest.mark.parametrize("edit", [
+        {"ct": "data"}, {"ct": 5}, {"ct": None}, {"ct": {"$section": 1}},
+        {"policy_version": ...}, {"layer_policy_digest": "cd" * 32}],
+        ids=["ct-string", "ct-integer", "ct-null", "ct-names-no-section",
+             "missing-key", "extra-key"])
+    def test_header_that_is_not_a_record_is_refused(self, tmp_path, edit):
+        """A well-framed file whose ``ct`` is not a section, or whose header
+        keys are not the record's fields, is refused; ``...`` drops a key."""
+        store = CtStore(tmp_path)
+        record = store.put_new(b"data", 0, "vc", 1, ManualClock())
+        fields = {k: v for k, v in dict(vars(record), **edit).items() if v is not ...}
+        (tmp_path / f"{record.id}.json").write_bytes(encode_frame(fields))
+        with pytest.raises(StoreFailure, match=f"record {record.id} corrupt"):
             store.get(record.id)
 
     def test_by_policy(self, tmp_path):
@@ -164,26 +170,42 @@ class TestCtStore:
         assert set(seen[-len(new):]) == {(ct, 2) for ct in new.values()}
 
 
-# Contents that do not decode to a record or a policy definition.
+# Contents that do not decode to a record, a policy definition, an
+# incident or a deployment config.
 MALFORMED_FILES = {"not-json": b"{not json", "missing-field": b"{}",
                    "not-an-object": b"[1, 2]"}
 
 
 @pytest.mark.parametrize("content", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
-@pytest.mark.parametrize("kind", ["record", "policy"])
+@pytest.mark.parametrize("kind", ["record", "policy", "incident-log", "config"])
 def test_malformed_file_raises_store_failure(tmp_path, kind, content):
+    """Every read of a damaged file raises StoreFailure naming it; a
+    damaged incident line is never skipped."""
     clock = ManualClock()
     if kind == "record":
         store = CtStore(tmp_path)
-        key = store.put_new(b"data", 0, "vc", 1, clock).id
-    else:
+        name = store.put_new(b"data", 0, "vc", 1, clock).id
+        (path,) = tmp_path.glob("*.json")
+        read = lambda: store.get(name)
+    elif kind == "policy":
         store = PolicyStore(tmp_path)
-        key = "vc"
-        store.define(key, ["(A)"], clock)
-    (path,) = tmp_path.glob("*.json")
+        name = "vc"
+        store.define(name, ["(A)"], clock)
+        (path,) = tmp_path.glob("*.json")
+        read = lambda: store.get(name)
+    elif kind == "incident-log":
+        path = tmp_path / "incidents.log"
+        log = SecurityEventLog(path)
+        log.record(5, "before the damage")
+        content = path.read_bytes() + content + b"\n"
+        name, read = str(path), lambda: log.current
+    else:
+        path = tmp_path / "config.json"
+        name, read = str(path), lambda: Deployment(tmp_path, "pw", clock=clock)
     path.write_bytes(content)
-    with pytest.raises(StoreFailure, match="corrupt"):
-        store.get(key)
+    for _ in range(2):
+        with pytest.raises(StoreFailure, match=re.escape(f"{name} corrupt")):
+            read()
 
 
 class TestAtomicWrite:
@@ -399,6 +421,12 @@ class TestSecurityEventLog:
         assert not b_thread.is_alive()
         assert b_result == [60]
         assert SecurityEventLog(path).events == [(50, "through a"), (60, "through b")]
+
+    def test_timestamp_that_is_not_an_integer_raises_store_failure(self, tmp_path):
+        path = tmp_path / "incidents.log"
+        path.write_bytes(b'{"reason": "x", "t_incident": "9"}\n')
+        with pytest.raises(StoreFailure, match="is not an integer"):
+            SecurityEventLog(path)
 
     def test_partial_line_waits_for_its_newline(self, tmp_path):
         path = tmp_path / "incidents.log"
