@@ -13,6 +13,14 @@ Numeric comparisons are evaluated natively against the key's recorded
 values rather than via a cryptographic gadget. A production backend would
 replace the dev functions below; every key, header and layer container
 carries a backend-id byte, which leaves room for one.
+
+Each leaf key is derived once per public-key object: ``MasterPublicKey``
+memoises the prepared HMAC state of every leaf and comparison key it
+derives (``hashing.HmacKey``). The memo is computed from the public
+parameters alone, holds at most ``LEAF_MEMO_SIZE`` entries (a full memo
+is emptied before the next entry), and is not a dataclass field, so it
+never reaches ``to_bytes``, equality or ``repr``. A user key's leaf map
+holds prepared states the same way.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .errors import (
     PolicyUnsatisfied,
     UnsupportedParameter,
 )
-from .hashing import prf, u32, u64, xor_bytes
+from .hashing import HmacKey, length_prefixed, prf, u32, u64, xor_bytes
 from .policy import (
     AccessPolicy,
     AttributeSet,
@@ -60,6 +68,11 @@ SEED_BYTES = 32
 KEY_ID_BYTES = 16
 DEV_BACKEND_ID = 1  # the container id byte of every key, header and layer
 BACKEND_NAME = "dev-keyed-hash"
+LEAF_MEMO_SIZE = 4096  # most leaf-key states one MasterPublicKey keeps
+
+# PRF labels, length-prefixed once: each is the first part of prf(key, label, ...).
+_HEADER_SALT, _BODY_NONCE, _SHARE_ROOT, _BODY_KEY, _PAD, _AND_SHARE = map(length_prefixed, (
+    b"header-salt", b"body-nonce", b"share-root", b"body-key", b"pad", b"and-share"))
 
 
 def draw_entropy(rng: Rng, n: int) -> bytes:
@@ -105,6 +118,21 @@ class _MasterKey:
 class MasterPublicKey(_MasterKey):
     KIND = containers.KIND_MPK
 
+    @cached_property
+    def _leaf_states(self) -> dict[Leaf | Cmp, HmacKey]:
+        return {}  # the memo of the module docstring; not a dataclass field
+
+    def _leaf_state(self, node: Leaf | Cmp) -> HmacKey:
+        memo = self._leaf_states
+        state = memo.get(node)
+        if state is None:
+            if len(memo) >= LEAF_MEMO_SIZE:
+                memo.clear()
+            state = memo[node] = HmacKey(
+                _leaf_key(self.material, node.name) if isinstance(node, Leaf)
+                else _cmp_key(self.material, node))
+        return state
+
 
 class MasterSecretKey(_MasterKey):
     KIND = containers.KIND_MSK
@@ -139,8 +167,8 @@ class UserSecretKey:
         return cls(backend_id=backend_id, key_id=key_id, attrs=attrs, material=material)
 
     @cached_property
-    def _leaf_keys(self) -> dict[str, bytes]:
-        """The dev backend's name -> leaf-key map, parsed on first use.
+    def _leaf_keys(self) -> dict[str, HmacKey]:
+        """The dev backend's name -> prepared leaf-key map, parsed on first use.
 
         Not a dataclass field, so it stays out of repr, equality and
         to_bytes, and it lives exactly as long as this key object. A parse
@@ -150,7 +178,7 @@ class UserSecretKey:
         keys = _unpack_leaf_keys(self.material)
         if keys.keys() != self.attrs.names:
             raise MalformedCiphertext("key material disagrees with key attributes")
-        return keys
+        return {name: HmacKey(key) for name, key in keys.items()}
 
 
 def _unpack_leaf_keys(material: bytes) -> dict[str, bytes]:
@@ -191,49 +219,49 @@ def _cmp_key(wrap_root: bytes, node: Cmp) -> bytes:
                node.op.encode("ascii"), u64(node.value))
 
 
-def _wrap_shares(node: Node, secret: bytes, depth: int, u: bytes,
-                 wrap_root: bytes, salt: bytes, out: list[bytes]) -> None:
+def _wrap_shares(node: Node, secret: bytes, depth: int, u: HmacKey,
+                 mpk: MasterPublicKey, pad: bytes, out: list[bytes]) -> None:
+    # `pad` is length_prefixed(b"pad", salt); a leaf's mask appends its index.
     leaf_start = len(out)  # shares are appended in leaf preorder
     if isinstance(node, (Leaf, Cmp)):
-        key = (_leaf_key(wrap_root, node.name) if isinstance(node, Leaf)
-               else _cmp_key(wrap_root, node))
-        out.append(xor_bytes(secret, prf(key, b"pad", salt, u32(leaf_start))))
+        mask = mpk._leaf_state(node).digest(pad + length_prefixed(u32(leaf_start)))
+        out.append(xor_bytes(secret, mask))
         return
     if isinstance(node, Or):
         for child in node.children:
-            _wrap_shares(child, secret, depth + 1, u, wrap_root, salt, out)
+            _wrap_shares(child, secret, depth + 1, u, mpk, pad, out)
         return
     # AND: n-1 pseudorandom shares, last one closes the XOR to the secret.
     acc = secret
     for index, child in enumerate(node.children):
         if index < len(node.children) - 1:
-            share = prf(u, b"and-share", u32(leaf_start), u32(depth), u32(index))
+            share = u.digest(_AND_SHARE + length_prefixed(u32(leaf_start), u32(depth), u32(index)))
             acc = xor_bytes(acc, share)
         else:
             share = acc
-        _wrap_shares(child, share, depth + 1, u, wrap_root, salt, out)
+        _wrap_shares(child, share, depth + 1, u, mpk, pad, out)
 
 
 def _recover_secret(node: Node, leaf_start: int, attrs: AttributeSet,
-                    leaf_keys: dict[str, bytes], wrap_root: bytes, salt: bytes,
-                    shares: list[bytes]) -> bytes | None:
+                    leaf_keys: dict[str, HmacKey], mpk: MasterPublicKey,
+                    pad: bytes, shares: list[bytes]) -> bytes | None:
     if isinstance(node, Leaf):
         key = leaf_keys.get(node.name)
         if key is None:
             return None
-        pad = prf(key, b"pad", salt, u32(leaf_start))
-        return xor_bytes(shares[leaf_start], pad)
+        mask = key.digest(pad + length_prefixed(u32(leaf_start)))
+        return xor_bytes(shares[leaf_start], mask)
     if isinstance(node, Cmp):
         value = attrs.numeric.get(node.name)
         if value is None or not compare_values(value, node.op, node.value):
             return None
-        pad = prf(_cmp_key(wrap_root, node), b"pad", salt, u32(leaf_start))
-        return xor_bytes(shares[leaf_start], pad)
+        mask = mpk._leaf_state(node).digest(pad + length_prefixed(u32(leaf_start)))
+        return xor_bytes(shares[leaf_start], mask)
     if isinstance(node, Or):
         offset = leaf_start
         for child in node.children:
             recovered = _recover_secret(child, offset, attrs, leaf_keys,
-                                        wrap_root, salt, shares)
+                                        mpk, pad, shares)
             if recovered is not None:
                 return recovered
             offset += leaf_count(child)
@@ -242,7 +270,7 @@ def _recover_secret(node: Node, leaf_start: int, attrs: AttributeSet,
     offset = leaf_start
     for child in node.children:
         recovered = _recover_secret(child, offset, attrs, leaf_keys,
-                                    wrap_root, salt, shares)
+                                    mpk, pad, shares)
         if recovered is None:
             return None
         acc = xor_bytes(acc, recovered)
@@ -296,15 +324,16 @@ def abe_encrypt(mpk: MasterPublicKey, policy: AccessPolicy, message: bytes,
     if len(message) > ENCAPSULATION_WIDTH:
         raise MessageTooLong(
             f"encapsulation width is {ENCAPSULATION_WIDTH} bytes, got {len(message)}")
-    salt = prf(u, b"header-salt")[:16]
-    nonce = prf(u, b"body-nonce")[:containers.GCM_NONCE_BYTES]
+    u_key = HmacKey(u)
+    salt = u_key.digest(_HEADER_SALT)[:16]
+    nonce = u_key.digest(_BODY_NONCE)[:containers.GCM_NONCE_BYTES]
     header = pack_container(
         containers.KIND_HEADER, DEV_BACKEND_ID,
         [policy.canonical().encode("utf-8"), salt, nonce])
-    root_secret = prf(u, b"share-root")
+    root_secret = u_key.digest(_SHARE_ROOT)
     wrapped: list[bytes] = []
-    _wrap_shares(policy.root, root_secret, 0, u, mpk.material, salt, wrapped)
-    body_key = prf(root_secret, b"body-key")
+    _wrap_shares(policy.root, root_secret, 0, u_key, mpk, _PAD + length_prefixed(salt), wrapped)
+    body_key = HmacKey(root_secret).digest(_BODY_KEY)
     sealed = AESGCM(body_key).encrypt(nonce, message, header)
     body = struct.pack(">I", len(wrapped)) + b"".join(wrapped) + sealed
     return AbeCiphertext(header=header, body=body)
@@ -336,10 +365,10 @@ def abe_decrypt(mpk: MasterPublicKey, sk: UserSecretKey, ct: AbeCiphertext) -> b
               for i in range(n_leaves)]
     sealed = ct.body[shares_end:]
     root_secret = _recover_secret(policy.root, 0, sk.attrs, sk._leaf_keys,
-                                  mpk.material, salt, shares)
+                                  mpk, _PAD + length_prefixed(salt), shares)
     if root_secret is None:
         raise PolicyUnsatisfied()
-    body_key = prf(root_secret, b"body-key")
+    body_key = HmacKey(root_secret).digest(_BODY_KEY)
     try:
         return AESGCM(body_key).decrypt(nonce, sealed, ct.header)
     except InvalidTag:

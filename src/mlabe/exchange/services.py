@@ -247,6 +247,10 @@ class InternalCtEngine:
         """Re-layer the records under the named policy whose stored version
         is below its current one; returns their ids.
 
+        A record keeps its longest run of inner layers equal to the new
+        ones and only the rest is replaced, with the bytes of a full
+        re-layer; a record whose layers all match only takes the version.
+
         The replacements are group-committed when the pass lock is
         released: every one is fsynced, then each is renamed over its
         record, before this returns. If the pass fails part-way, the
@@ -255,14 +259,20 @@ class InternalCtEngine:
         """
         with self._ct_store.pass_lock() as group:
             policies, version = self._stored_layer_policies(policy_name)
+            texts = [policy.canonical() for policy in policies]
             updated = []
             for record in self._ct_store.by_policy(policy_name):
                 if record.policy_version >= version:
                     continue
                 ct = HybridCiphertext.from_bytes(record.ct)
+                keep = 0
+                for stored, text in zip(ct.ct_abe.layer_policies, texts):
+                    if stored != text:
+                        break
+                    keep += 1
                 relayered = update_outer_layers(
-                    self._mpk, self._engine_key, ct.ct_abe, keep=0,
-                    new_policies=policies)
+                    self._mpk, self._engine_key, ct.ct_abe, keep=keep,
+                    new_policies=policies[keep:])
                 new_ct = HybridCiphertext(ct_aes=ct.ct_aes, ct_abe=relayered)
                 self._ct_store.update(group, record, new_ct.to_bytes(),
                                       new_ct.n_layers, version, self._clock)
@@ -292,9 +302,14 @@ class ExternalCtEngine:
         self._ct_store = ct_store
         self._event_log = event_log
         self._mpk = mpk
+        self._gate = AccessPolicy(Cmp(TIMESTAMP_ATTRIBUTE, ">", 0))
 
     def time_gate_policy(self) -> AccessPolicy:
-        return AccessPolicy(Cmp(TIMESTAMP_ATTRIBUTE, ">", self._event_log.current))
+        """(T_SK > T_incident); one object serves until T_incident moves."""
+        current, gate = self._event_log.current, self._gate
+        if gate.root.value != current:
+            gate = self._gate = AccessPolicy(Cmp(TIMESTAMP_ATTRIBUTE, ">", current))
+        return gate
 
     def request(self, record_id: str) -> tuple[bytes, int]:
         """Return CT_3 bytes and its layer count; the store is not touched."""

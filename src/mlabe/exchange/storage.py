@@ -59,7 +59,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterator, Protocol
+from typing import Any, BinaryIO, Iterator, Protocol, get_args, get_origin
 
 from ..errors import NotFound, StoreFailure
 from .transport import decode_frame, encode_frame
@@ -177,6 +177,21 @@ def content_id(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _check_types(obj: dict, types: dict[str, Any]) -> None:
+    """Raise TypeError unless each named field of a decoded file has
+    exactly its type, so an int is never a bool; ``list[X]`` is a list
+    whose items are all X."""
+    for key, kind in types.items():
+        value = obj[key]
+        if get_origin(kind) is list:
+            (item,) = get_args(kind)
+            ok = type(value) is list and all(type(v) is item for v in value)
+        else:
+            ok = type(value) is kind
+        if not ok:
+            raise TypeError(f"{key} has type {type(value).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # Ciphertext store
 # ---------------------------------------------------------------------------
@@ -198,6 +213,11 @@ class CtRecord:
     @classmethod
     def from_bytes(cls, data: bytes) -> "CtRecord":
         return cls(**decode_frame(data))
+
+
+_RECORD_TYPES = {"id": str, "ct": bytes, "n_layers": int, "created_at": int,
+                 "updated_at": int, "policy_name": str, "policy_version": int,
+                 "content_digest": str}
 
 
 class CtStore:
@@ -250,6 +270,7 @@ class CtStore:
             raise NotFound(f"no such ciphertext record: {record_id}") from None
         try:
             record = CtRecord.from_bytes(data)
+            _check_types(vars(record), _RECORD_TYPES)
             intact = content_id(record.ct) == record.content_digest
         except (ValueError, TypeError) as exc:
             raise StoreFailure(f"record {record_id} corrupt: {exc!r}") from exc
@@ -335,6 +356,8 @@ class PolicyStore:
             raise NotFound(f"no such policy: {name}") from None
         try:
             obj = json.loads(data)
+            _check_types(obj, {"name": str, "layers": list[str], "version": int,
+                               "history": list[dict]})
             return PolicyRecord(name=obj["name"], layers=obj["layers"],
                                 version=obj["version"], history=obj["history"])
         except (ValueError, KeyError, TypeError) as exc:

@@ -15,6 +15,8 @@ party maintaining layers.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -35,11 +37,13 @@ from .errors import (
     MalformedLayer,
     PolicyUnsatisfied,
 )
-from .hashing import fo_hash, prf
+from .hashing import HmacKey, fo_hash, length_prefixed
 from .hybrid import fo_decrypt
 from .policy import AccessPolicy, Leaf, Or
 
 LAYER_KEY_BYTES = 32
+_LAYER_KEY = length_prefixed(b"layer-key")
+_LAYER_NONCE = length_prefixed(b"layer-nonce")
 
 # Attribute granting layer-maintenance capability. Stored layer policies in
 # the exchange harness are augmented to (AP_i OR ENGINE_UPDATE) so the
@@ -49,9 +53,15 @@ LAYER_KEY_BYTES = 32
 ENGINE_UPDATE_ATTRIBUTE = "ENGINE_UPDATE"
 
 
+@lru_cache(maxsize=256)
 def augment_for_engine(policy: AccessPolicy) -> AccessPolicy:
     """(policy OR engine-attribute): consumers still satisfy the original
-    policy, and the layer-maintenance key can open the layer for updates."""
+    policy, and the layer-maintenance key can open the layer for updates.
+
+    Memoized in a bounded LRU, as ``parse_policy`` is: policies are public
+    and immutable, so every publish and re-layer pass under one layer
+    list shares one augmented object and its canonical text.
+    """
     return AccessPolicy(Or((policy.root, Leaf(ENGINE_UPDATE_ATTRIBUTE))))
 
 
@@ -69,9 +79,10 @@ def add_layers(mpk: MasterPublicKey, ct: LayeredAbeCiphertext,
     for policy in policies:
         policy_text = policy.canonical()
         u = fo_hash(body, policy_text.encode("utf-8"))
-        layer_key = prf(u, b"layer-key")
+        u_key = HmacKey(u)
+        layer_key = u_key.digest(_LAYER_KEY)
         kem = abe_encrypt(mpk, policy, layer_key, u)
-        nonce = prf(u, b"layer-nonce")[:GCM_NONCE_BYTES]
+        nonce = u_key.digest(_LAYER_NONCE)[:GCM_NONCE_BYTES]
         sealed = AESGCM(layer_key).encrypt(nonce, body, kem.header)
         body = pack_container(containers.KIND_LAYER, mpk.backend_id,
                               [kem.to_bytes(), nonce, sealed])

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -76,19 +76,23 @@ class Cmp:
 @dataclass(frozen=True)
 class And:
     children: tuple["Node", ...]
+    n_leaves: int = field(init=False, repr=False, compare=False)  # set once
 
     def __post_init__(self) -> None:
         if len(self.children) < 2:
             raise ValueError("AND requires at least two children")
+        object.__setattr__(self, "n_leaves", sum(map(leaf_count, self.children)))
 
 
 @dataclass(frozen=True)
 class Or:
     children: tuple["Node", ...]
+    n_leaves: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.children) < 2:
             raise ValueError("OR requires at least two children")
+        object.__setattr__(self, "n_leaves", sum(map(leaf_count, self.children)))
 
 
 Node = Union[Leaf, Cmp, And, Or]
@@ -100,9 +104,13 @@ class AccessPolicy:
 
     root: Node
 
-    def canonical(self) -> str:
-        """Fully parenthesized canonical text of this policy."""
+    @cached_property
+    def _text(self) -> str:
         return _serialize_node(self.root)
+
+    def canonical(self) -> str:
+        """Fully parenthesized canonical text of this policy, built once."""
+        return self._text
 
     def leaf_count(self) -> int:
         return leaf_count(self.root)
@@ -110,9 +118,7 @@ class AccessPolicy:
 
 def leaf_count(node: Node) -> int:
     """Number of Leaf and Cmp nodes under ``node``."""
-    if isinstance(node, (Leaf, Cmp)):
-        return 1
-    return sum(leaf_count(child) for child in node.children)
+    return 1 if isinstance(node, (Leaf, Cmp)) else node.n_leaves
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from mlabe.exchange.transport import (
     decode_frame,
     encode_frame,
 )
+from mlabe.multilayer import augment_for_engine, update_outer_layers
 from mlabe.policy import TIMESTAMP_ATTRIBUTE, parse_policy
 
 
@@ -472,6 +473,61 @@ class TestPolicyUpdate:
         assert Consumer(deployment.mpk, key_new).fetch_and_decrypt(
             record_id, deployment.client("external")) == plaintext
 
+    @staticmethod
+    def _count_layer_crypto(monkeypatch) -> dict[str, int]:
+        """Count the ABE calls the layer code makes from here on."""
+        import mlabe.multilayer as multilayer
+
+        calls = {"abe_decrypt": 0, "abe_encrypt": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(multilayer, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(multilayer, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("layers, peeled, added", [
+        (["(Staff)", "(Boss)"], 1, 1),
+        (["(Boss)", "(Mechanic OR Boss)"], 2, 2),
+        (["(Staff)", "(Mechanic OR Boss)", "(Boss)"], 0, 1),
+        (["(Staff)"], 1, 0),
+    ], ids=["outermost-replaced", "innermost-replaced", "layer-appended",
+            "outermost-dropped"])
+    def test_pass_replaces_only_the_layers_that_changed(
+            self, deployment, monkeypatch, layers, peeled, added):
+        """A record keeps its longest run of matching inner layers: one
+        abe_decrypt per peeled layer, one abe_encrypt per added layer, and
+        the same bytes as peeling and re-adding every layer."""
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        record_id = owner.publish(b"partly re-layered", parse_policy("(Mechanic)"),
+                                  "vc", deployment.client("internal"))
+        before = HybridCiphertext.from_bytes(deployment.ct_store.get(record_id).ct)
+        calls = self._count_layer_crypto(monkeypatch)
+        result = deployment.client("admin", caller="admin").request(
+            "POST /policy", {"name": "vc", "layers": layers})
+        assert result == {"version": 2, "updated": [record_id]}
+        assert calls == {"abe_decrypt": peeled, "abe_encrypt": added}
+        monkeypatch.undo()
+        full = update_outer_layers(
+            deployment.mpk, deployment.internal._engine_key, before.ct_abe, keep=0,
+            new_policies=[augment_for_engine(parse_policy(t)) for t in layers])
+        after = HybridCiphertext.from_bytes(deployment.ct_store.get(record_id).ct)
+        assert after.ct_abe.to_bytes() == full.to_bytes()
+        assert after.ct_aes == before.ct_aes
+
+    def test_redefinition_changing_no_layer_keeps_the_bytes(self, deployment, monkeypatch):
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        record_id = owner.publish(b"unchanged layers", parse_policy("(Mechanic)"),
+                                  "vc", deployment.client("internal"))
+        before = deployment.ct_store.get(record_id)
+        calls = self._count_layer_crypto(monkeypatch)
+        result = deployment.admin.update_policy(
+            "admin", "vc", ["(Staff)", "(Mechanic OR Boss)"])
+        assert result == {"version": 2, "updated": [record_id]}
+        assert calls == {"abe_decrypt": 0, "abe_encrypt": 0}
+        after = deployment.ct_store.get(record_id)
+        assert (after.ct, after.policy_version) == (before.ct, 2)
+
     def test_update_requires_existing_policy(self, deployment):
         with pytest.raises(NotFound):
             deployment.admin.update_policy("admin", "ghost", ["(A)"])
@@ -479,6 +535,30 @@ class TestPolicyUpdate:
     def test_admin_gate(self, deployment):
         with pytest.raises(Unauthorized):
             deployment.admin.update_policy("alice", "vc", ["(A)"])
+
+
+class TestDamagedStoreFiles:
+    """A store file with a field of the wrong type is refused with
+    StoreFailure before any service computes with it."""
+
+    def test_policy_layers_not_a_list_refuse_a_publish(self, deployment):
+        (path,) = (deployment.data_dir / "policies").glob("*.json")
+        path.write_bytes(json.dumps(dict(json.loads(path.read_bytes()), layers=5)).encode())
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        with pytest.raises(StoreFailure, match="policy vc corrupt"):
+            owner.publish(b"data", parse_policy("(Staff)"), "vc",
+                          deployment.client("internal"))
+
+    def test_record_version_as_a_string_refuses_a_policy_update(self, deployment):
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        record_id = owner.publish(b"data", parse_policy("(Staff)"), "vc",
+                                  deployment.client("internal"))
+        path = deployment.data_dir / "ct" / f"{record_id}.json"
+        path.write_bytes(encode_frame(dict(decode_frame(path.read_bytes()),
+                                           policy_version="1")))
+        with pytest.raises(StoreFailure, match=f"record {record_id} corrupt"):
+            deployment.client("admin", caller="admin").request(
+                "POST /policy", {"name": "vc", "layers": ["(Boss)"]})
 
 
 class TestTimeGate:

@@ -8,7 +8,7 @@ import hmac
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlabe.hashing import length_prefixed, prf, xor_bytes
+from mlabe.hashing import HmacKey, length_prefixed, prf, xor_bytes
 
 
 def reference_xor(a: bytes, b: bytes) -> bytes:
@@ -62,3 +62,28 @@ class TestPrf:
         out = prf(key, *parts)
         assert len(out) == 32
         assert out == reference_prf(key, *parts)
+
+
+def sized_binary(max_size: int):
+    """Bytes of a uniformly drawn length, so every length up to max_size,
+    both sides of the 64-byte SHA-256 block, is as likely as the short ones."""
+    return st.integers(min_value=0, max_value=max_size).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n))
+
+
+class TestHmacKey:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sized_binary(200), sized_binary(300), sized_binary(300))
+    def test_matches_hmac_digest(self, key, message, other):
+        """One prepared key answers several messages, each equal to the
+        one-shot HMAC: its states are copied, never updated."""
+        prepared = HmacKey(key)
+        for msg in (message, other, message):
+            assert prepared.digest(msg) == hmac.digest(key, msg, "sha256")
+
+    @pytest.mark.parametrize("size", [16, 63, 64, 65, 200])
+    def test_repr_shows_no_key(self, size):
+        key = bytes(range(1, size + 1))
+        text = repr(HmacKey(key))
+        assert key.hex() not in text and repr(key) not in text
+        assert not hasattr(HmacKey(key), "__dict__")

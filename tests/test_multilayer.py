@@ -9,7 +9,8 @@ import pytest
 
 from support import ALPHABET, make_rng, random_policy
 
-from mlabe.abe import UserSecretKey
+from mlabe import abe
+from mlabe.abe import MasterPublicKey, UserSecretKey
 from mlabe.containers import HybridCiphertext, LayeredAbeCiphertext
 from mlabe.errors import (
     EmptyPolicyList,
@@ -27,7 +28,7 @@ from mlabe.multilayer import (
     peel_layers,
     update_outer_layers,
 )
-from mlabe.policy import parse_policy
+from mlabe.policy import TIMESTAMP_ATTRIBUTE, AccessPolicy, Cmp, parse_policy
 
 from conftest import issue
 
@@ -204,6 +205,57 @@ class TestParsedKeyMap:
         assert "_leaf_keys" not in repr(key)
         assert key.to_bytes() == before_bytes
         assert key == fresh and hash(key) == hash(fresh)
+
+
+class TestPublicKeyMemo:
+    """A public-key object derives each leaf key once and keeps its
+    prepared state."""
+
+    def _fresh(self, master_pair) -> MasterPublicKey:
+        return MasterPublicKey.from_bytes(master_pair.mpk.to_bytes())
+
+    def test_memo_is_invisible_to_repr_bytes_and_equality(self, master_pair):
+        mpk, fresh = self._fresh(master_pair), self._fresh(master_pair)
+        before_repr, before_bytes = repr(mpk), mpk.to_bytes()
+        add_layers(mpk, _base(master_pair).ct_abe, [parse_policy("C AND D")])
+        assert len(vars(mpk)["_leaf_states"]) == 2
+        assert "_leaf_states" not in vars(fresh)
+        assert repr(mpk) == before_repr
+        assert "_leaf_states" not in repr(mpk)
+        assert mpk.to_bytes() == before_bytes
+        assert mpk == fresh and hash(mpk) == hash(fresh)
+
+    def test_memo_past_its_bound_keeps_every_byte(self, master_pair, monkeypatch):
+        monkeypatch.setattr(abe, "LEAF_MEMO_SIZE", 4)
+        mpk = self._fresh(master_pair)
+        ct = _base(master_pair).ct_abe
+        gate = AccessPolicy(Cmp(TIMESTAMP_ATTRIBUTE, ">", 7))
+        for policies in (_attr_policies(5), [gate] + _attr_policies(5)[::-1]):
+            layered = add_layers(mpk, ct, policies)
+            assert len(mpk._leaf_states) <= 4
+            assert layered.to_bytes() == add_layers(
+                self._fresh(master_pair), ct, policies).to_bytes()
+        consumer = issue(master_pair, {f"Att{i}" for i in range(1, 16)} | {"A", "B"})
+        plain = b"inner payload " * 20
+        full = HybridCiphertext(ct_aes=_base(master_pair).ct_aes, ct_abe=layered)
+        assert layered_decrypt(mpk, consumer, full) == plain
+
+    def test_second_relayer_derives_no_leaf_key(self, master_pair, monkeypatch):
+        mpk = self._fresh(master_pair)
+        engine_key = issue(master_pair, {ENGINE_UPDATE_ATTRIBUTE})
+        old, new = ([augment_for_engine(p) for p in group]
+                    for group in (_attr_policies(14), _attr_policies(28)[14:]))
+        layered = add_layers(mpk, _base(master_pair).ct_abe, old)
+        derived: list[str] = []
+        real_leaf_key = abe._leaf_key
+        monkeypatch.setattr(abe, "_leaf_key",
+                            lambda root, name: derived.append(name) or real_leaf_key(root, name))
+        first = update_outer_layers(mpk, engine_key, layered, keep=0, new_policies=new)
+        assert len(derived) == 42  # the new layers' names, each once
+        derived.clear()
+        second = update_outer_layers(mpk, engine_key, layered, keep=0, new_policies=new)
+        assert derived == []
+        assert second.to_bytes() == first.to_bytes()
 
 
 class TestLayeredDecrypt:

@@ -100,12 +100,16 @@ class TestCtStore:
 
     @pytest.mark.parametrize("edit", [
         {"ct": "data"}, {"ct": 5}, {"ct": None}, {"ct": {"$section": 1}},
-        {"policy_version": ...}, {"layer_policy_digest": "cd" * 32}],
+        {"policy_version": ...}, {"layer_policy_digest": "cd" * 32},
+        {"policy_version": "1"}, {"n_layers": True}, {"created_at": 1.5},
+        {"policy_name": ["vc"]}],
         ids=["ct-string", "ct-integer", "ct-null", "ct-names-no-section",
-             "missing-key", "extra-key"])
+             "missing-key", "extra-key", "version-string", "layers-bool",
+             "time-float", "name-list"])
     def test_header_that_is_not_a_record_is_refused(self, tmp_path, edit):
-        """A well-framed file whose ``ct`` is not a section, or whose header
-        keys are not the record's fields, is refused; ``...`` drops a key."""
+        """A well-framed file whose ``ct`` is not a section, whose header
+        keys are not the record's fields, or whose fields have the wrong
+        type, is refused; ``...`` drops a key."""
         store = CtStore(tmp_path)
         record = store.put_new(b"data", 0, "vc", 1, ManualClock())
         fields = {k: v for k, v in dict(vars(record), **edit).items() if v is not ...}
@@ -171,9 +175,10 @@ class TestCtStore:
 
 
 # Contents that do not decode to a record, a policy definition, an
-# incident or a deployment config.
+# incident or a deployment config. None stands for a file of the kind
+# that decodes but has a field of the wrong type.
 MALFORMED_FILES = {"not-json": b"{not json", "missing-field": b"{}",
-                   "not-an-object": b"[1, 2]"}
+                   "not-an-object": b"[1, 2]", "wrong-type": None}
 
 
 @pytest.mark.parametrize("content", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
@@ -184,24 +189,29 @@ def test_malformed_file_raises_store_failure(tmp_path, kind, content):
     clock = ManualClock()
     if kind == "record":
         store = CtStore(tmp_path)
-        name = store.put_new(b"data", 0, "vc", 1, clock).id
+        record = store.put_new(b"data", 0, "vc", 1, clock)
+        name, wrong = record.id, encode_frame(dict(vars(record), policy_version="1"))
         (path,) = tmp_path.glob("*.json")
         read = lambda: store.get(name)
     elif kind == "policy":
         store = PolicyStore(tmp_path)
         name = "vc"
         store.define(name, ["(A)"], clock)
+        wrong = b'{"history": [], "layers": 5, "name": "vc", "version": 1}'
         (path,) = tmp_path.glob("*.json")
         read = lambda: store.get(name)
     elif kind == "incident-log":
         path = tmp_path / "incidents.log"
         log = SecurityEventLog(path)
         log.record(5, "before the damage")
-        content = path.read_bytes() + content + b"\n"
+        wrong = b'{"reason": "", "t_incident": "6"}'
+        content = path.read_bytes() + (content or wrong) + b"\n"
         name, read = str(path), lambda: log.current
     else:
         path = tmp_path / "config.json"
+        wrong = b'{"admin_ids": ["admin"], "allowlist": []}'
         name, read = str(path), lambda: Deployment(tmp_path, "pw", clock=clock)
+    content = content or wrong
     path.write_bytes(content)
     for _ in range(2):
         with pytest.raises(StoreFailure, match=re.escape(f"{name} corrupt")):
