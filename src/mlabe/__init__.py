@@ -27,7 +27,6 @@ from .containers import (
 )
 from .errors import (
     AeadTagFailure,
-    AlreadyInitialized,
     BackendMismatch,
     ConfigError,
     DecryptError,
@@ -46,7 +45,6 @@ from .errors import (
     MissingTimestamp,
     MlabeError,
     NotFound,
-    NotInitialized,
     PolicyError,
     PolicySyntaxError,
     PolicyUnsatisfied,

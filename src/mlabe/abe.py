@@ -287,10 +287,15 @@ def setup(k_bits: int, rng: Rng) -> MasterKeyPair:
     if k_bits not in SUPPORTED_SECURITY_BITS:
         raise UnsupportedParameter(
             f"security parameter must be one of {SUPPORTED_SECURITY_BITS}, got {k_bits}")
-    seed = draw_entropy(rng, SEED_BYTES)
-    mpk = MasterPublicKey(DEV_BACKEND_ID, k_bits, _wrap_root(seed))
-    msk = MasterSecretKey(DEV_BACKEND_ID, k_bits, seed)
-    return MasterKeyPair(mpk=mpk, msk=msk)
+    msk = MasterSecretKey(DEV_BACKEND_ID, k_bits, draw_entropy(rng, SEED_BYTES))
+    return MasterKeyPair(mpk=public_key(msk), msk=msk)
+
+
+def public_key(msk: MasterSecretKey) -> MasterPublicKey:
+    """The public parameters of a master secret key; a pure function of it."""
+    if msk.backend_id != DEV_BACKEND_ID:
+        raise BackendMismatch(f"master secret key belongs to backend {msk.backend_id}")
+    return MasterPublicKey(msk.backend_id, msk.k_bits, _wrap_root(msk.material))
 
 
 def keygen(msk: MasterSecretKey, attrs: AttributeSet, seed: bytes) -> UserSecretKey:

@@ -134,14 +134,6 @@ class ExchangeError(MlabeError):
     """Base class for service-level failures."""
 
 
-class AlreadyInitialized(ExchangeError):
-    """Setup was called on an authority that already holds keys."""
-
-
-class NotInitialized(ExchangeError):
-    """Operation requires a completed system setup."""
-
-
 class Unauthorized(ExchangeError):
     """Caller is not allowed to perform the requested operation."""
 

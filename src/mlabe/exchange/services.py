@@ -13,6 +13,13 @@ one process or several. Consumers fetch through the external engine,
 which wraps a per-request time-gate layer requiring a key newer than the
 last recorded security incident.
 
+A deployment opens in one step under an exclusive lock on
+``.setup.lock`` in its data directory: it merges its allowlist and admin
+ids into ``config.json``, then loads the authority's master pair, or
+creates it if the directory has none. Deployments opening one directory
+at once, in one process or several, therefore share one master pair and
+keep every allowlist.
+
 Every stored (updatable) layer policy is augmented to
 ``(AP_i OR ENGINE_UPDATE)`` and the authority issues the internal engine
 a key carrying exactly the ENGINE_UPDATE attribute; that is what lets the
@@ -25,7 +32,6 @@ from __future__ import annotations
 import base64
 import json
 import os
-import threading
 from pathlib import Path
 from typing import Callable
 
@@ -40,15 +46,11 @@ from ..abe import (
     Rng,
     UserSecretKey,
     keygen,
+    public_key,
     setup,
 )
 from ..containers import HybridCiphertext
-from ..errors import (
-    AlreadyInitialized,
-    NotInitialized,
-    StoreFailure,
-    Unauthorized,
-)
+from ..errors import StoreFailure, Unauthorized
 from ..hybrid import hybrid_encrypt
 from ..multilayer import (
     ENGINE_UPDATE_ATTRIBUTE,
@@ -71,6 +73,8 @@ from .storage import (
     PolicyStore,
     SecurityEventLog,
     SystemClock,
+    _check_types,
+    _exclusive,
     atomic_write,
 )
 from .transport import LocalClient, ServiceClient, ServiceServer, TransportTap
@@ -88,6 +92,12 @@ def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
+def _seal_key(passphrase: bytes, salt: bytes) -> bytes:
+    """The AES key that seals the master secret under the passphrase."""
+    kdf = Scrypt(salt=salt, length=32, n=_SCRYPT_N, r=_SCRYPT_R, p=_SCRYPT_P)
+    return kdf.derive(passphrase)
+
+
 # ---------------------------------------------------------------------------
 # Attribute Authority
 # ---------------------------------------------------------------------------
@@ -95,78 +105,56 @@ def _b64(data: bytes) -> str:
 class AttributeAuthority:
     """Holds the master secret; issues timestamped user keys.
 
-    The master secret never leaves this object: it is persisted encrypted
-    under an operator passphrase and only key material derived from it
-    (user keys, public parameters) is ever returned.
+    The master secret never leaves this object: it is sealed under an
+    operator passphrase in ``master.enc`` and only key material derived
+    from it (user keys, public parameters) is ever returned. The
+    constructor loads the master pair, or creates it when the directory
+    has none: it writes the public parameters to ``mpk.bin``, an export
+    for users that no code reads, then ``master.enc``, whose write
+    commits the pair. A load reads ``master.enc`` alone and derives the
+    public parameters, so no crash can leave a torn pair. Openers of one
+    directory must be serialised, as ``Deployment`` does with its
+    start-up lock.
     """
 
     def __init__(self, data_dir: Path, passphrase: str, clock: LogicalClock,
                  allowlist: dict[str, list[str]], rng: Rng = os.urandom):
         self._dir = Path(data_dir)
         self._dir.mkdir(parents=True, exist_ok=True)
-        self._passphrase = passphrase.encode("utf-8")
         self._clock = clock
         self._allowlist = {k: set(v) for k, v in allowlist.items()}
         self._rng = rng
-        self._pair: MasterKeyPair | None = None
-        self._lock = threading.Lock()
-        if self._sealed_path.exists():
-            self._pair = self._load_pair()
+        self._pair = self._load_or_create_pair(passphrase.encode("utf-8"))
 
-    @property
-    def _sealed_path(self) -> Path:
-        return self._dir / "master.enc"
-
-    @property
-    def _mpk_path(self) -> Path:
-        return self._dir / "mpk.bin"
-
-    @property
-    def initialized(self) -> bool:
-        return self._pair is not None
-
-    def setup(self) -> bytes:
-        """Generate and persist the master pair; returns the public bytes."""
-        with self._lock:
-            if self._pair is not None or self._sealed_path.exists():
-                raise AlreadyInitialized("system setup already completed")
+    def _load_or_create_pair(self, passphrase: bytes) -> MasterKeyPair:
+        """Unseal ``master.enc``, or create, export and seal a fresh pair;
+        either way scrypt runs once."""
+        sealed_path = self._dir / "master.enc"
+        try:
+            blob = sealed_path.read_bytes()
+        except FileNotFoundError:
             pair = setup(SECURITY_BITS, self._rng)
-            self._persist_pair(pair)
-            self._pair = pair
-            return pair.mpk.to_bytes()
-
-    def _seal_key(self, salt: bytes) -> bytes:
-        kdf = Scrypt(salt=salt, length=32, n=_SCRYPT_N, r=_SCRYPT_R, p=_SCRYPT_P)
-        return kdf.derive(self._passphrase)
-
-    def _persist_pair(self, pair: MasterKeyPair) -> None:
-        salt = self._rng(16)
-        nonce = self._rng(12)
-        sealed = AESGCM(self._seal_key(salt)).encrypt(nonce, pair.msk.to_bytes(), b"")
-        atomic_write(self._sealed_path, salt + nonce + sealed)
-        atomic_write(self._mpk_path, pair.mpk.to_bytes())
-
-    def _load_pair(self) -> MasterKeyPair:
-        blob = self._sealed_path.read_bytes()
+            salt = self._rng(16)
+            nonce = self._rng(12)
+            sealed = AESGCM(_seal_key(passphrase, salt)).encrypt(
+                nonce, pair.msk.to_bytes(), b"")
+            atomic_write(self._dir / "mpk.bin", pair.mpk.to_bytes())
+            atomic_write(sealed_path, salt + nonce + sealed)
+            return pair
         salt, nonce, sealed = blob[:16], blob[16:28], blob[28:]
         try:
-            msk_bytes = AESGCM(self._seal_key(salt)).decrypt(nonce, sealed, b"")
+            msk_bytes = AESGCM(_seal_key(passphrase, salt)).decrypt(nonce, sealed, b"")
         except InvalidTag:
             raise Unauthorized("master key passphrase is wrong") from None
         msk = MasterSecretKey.from_bytes(msk_bytes)
-        mpk = MasterPublicKey.from_bytes(self._mpk_path.read_bytes())
-        return MasterKeyPair(mpk=mpk, msk=msk)
+        return MasterKeyPair(mpk=public_key(msk), msk=msk)
 
     @property
     def mpk(self) -> MasterPublicKey:
-        if self._pair is None:
-            raise NotInitialized("system setup has not run")
         return self._pair.mpk
 
     def issue_key(self, requester_id: str, attributes: list[str]) -> bytes:
         """Issue a user key: allowlisted attributes plus the issuance time."""
-        if self._pair is None:
-            raise NotInitialized("system setup has not run")
         allowed = self._allowlist.get(requester_id)
         if allowed is None:
             raise Unauthorized(f"unknown requester {requester_id!r}")
@@ -444,14 +432,13 @@ class Deployment:
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.clock = clock or SystemClock()
-        config = self._load_or_init_config(allowlist, admin_ids)
-        config["allowlist"].setdefault(ENGINE_REQUESTER_ID, [ENGINE_UPDATE_ATTRIBUTE])
-        self.allowlist: dict[str, list[str]] = config["allowlist"]
-        self.admin_ids: set[str] = set(config["admin_ids"])
-        self.aa = AttributeAuthority(self.data_dir / "aa", passphrase, self.clock,
-                                     self.allowlist, rng)
-        if not self.aa.initialized:
-            self.aa.setup()
+        with _exclusive(self.data_dir / ".setup.lock"):
+            config = self._load_or_init_config(allowlist, admin_ids)
+            config["allowlist"].setdefault(ENGINE_REQUESTER_ID, [ENGINE_UPDATE_ATTRIBUTE])
+            self.allowlist: dict[str, list[str]] = config["allowlist"]
+            self.admin_ids: set[str] = set(config["admin_ids"])
+            self.aa = AttributeAuthority(self.data_dir / "aa", passphrase, self.clock,
+                                         self.allowlist, rng)
         self.ct_store = CtStore(self.data_dir / "ct")
         self.policy_store = PolicyStore(self.data_dir / "policies")
         self.event_log = SecurityEventLog(self.data_dir / "incidents.log")
@@ -471,9 +458,8 @@ class Deployment:
         if path.exists():
             try:
                 config = json.loads(path.read_text("utf-8"))
-                if not (isinstance(config["allowlist"], dict)
-                        and isinstance(config["admin_ids"], list)):
-                    raise TypeError("allowlist must be an object, admin_ids a list")
+                _check_types(config, {"allowlist": dict, "admin_ids": list[str]})
+                _check_types(config["allowlist"], dict.fromkeys(config["allowlist"], list[str]))
             except (ValueError, KeyError, TypeError) as exc:
                 raise StoreFailure(f"config {path} corrupt: {exc!r}") from exc
             changed = False

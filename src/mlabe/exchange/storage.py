@@ -25,7 +25,8 @@ then the container bytes, raw, as section 0. The suffix stays ``.json``
 because ``ids`` and the served benchmark's store size list ``*.json``.
 A file that does not decode to a record raises ``StoreFailure``, as does
 a record in the earlier layout (one JSON object, the container in
-base64): there is no migration; republish such a data directory.
+base64): there is no migration; republish such a data directory. So does
+a file whose header names another record than its path.
 Records are content-addressed by the hash of the container bytes at
 publication; that id stays the record's stable handle across policy
 updates, while a separate digest always tracks the current bytes and is
@@ -271,6 +272,8 @@ class CtStore:
         try:
             record = CtRecord.from_bytes(data)
             _check_types(vars(record), _RECORD_TYPES)
+            if record.id != record_id:
+                raise ValueError(f"file holds record {record.id}")
             intact = content_id(record.ct) == record.content_digest
         except (ValueError, TypeError) as exc:
             raise StoreFailure(f"record {record_id} corrupt: {exc!r}") from exc
@@ -323,7 +326,8 @@ class PolicyStore:
     read, version bump and write, so two stores on one directory, in one
     process or two, never both write the same next version. The lock
     file's name does not end in ``.json``, so ``names`` never lists it.
-    Reads take no lock: each policy file is replaced whole by rename.
+    Reads take no lock: each policy file is replaced whole by rename. A
+    file that names another policy than the one read is corrupt.
     """
 
     def __init__(self, root: Path):
@@ -358,6 +362,8 @@ class PolicyStore:
             obj = json.loads(data)
             _check_types(obj, {"name": str, "layers": list[str], "version": int,
                                "history": list[dict]})
+            if obj["name"] != name:
+                raise ValueError(f"file holds policy {obj['name']!r}")
             return PolicyRecord(name=obj["name"], layers=obj["layers"],
                                 version=obj["version"], history=obj["history"])
         except (ValueError, KeyError, TypeError) as exc:

@@ -4,6 +4,7 @@ time gate, and wire-level confidentiality."""
 from __future__ import annotations
 
 import json
+import shutil
 import socket
 import struct
 import threading
@@ -13,10 +14,10 @@ import pytest
 
 from support import frames_contain_secret, make_rng
 
+from mlabe.abe import MasterPublicKey
 from mlabe.containers import HybridCiphertext
 from mlabe.errors import (
     ERROR_CLASSES,
-    AlreadyInitialized,
     EngineUnreachable,
     ExchangeError,
     NotFound,
@@ -113,11 +114,60 @@ def raiser(request):
             server.stop()
 
 
+def _open_together(path, *openers: dict) -> list:
+    """Open one directory from one thread per keyword set, all at once;
+    each result is the Deployment or the exception its opener raised."""
+    barrier = threading.Barrier(len(openers))
+
+    def open_(kwargs: dict):
+        barrier.wait(timeout=10)
+        try:
+            return Deployment(path, clock=ManualClock(1_000), **kwargs)
+        except Exception as exc:  # compared by the caller
+            return exc
+    with ThreadPoolExecutor(len(openers)) as pool:
+        return [f.result(timeout=60) for f in [pool.submit(open_, o) for o in openers]]
+
+
 class TestAttributeAuthority:
-    def test_setup_then_already_initialized(self, tmp_path):
-        dep = Deployment(tmp_path / "d", "pw", clock=ManualClock(), allowlist=ALLOW)
-        with pytest.raises(AlreadyInitialized):
-            dep.aa.setup()
+    def test_two_openers_of_a_fresh_directory_share_one_pair(self, tmp_path):
+        first, second = _open_together(
+            tmp_path / "d", {"passphrase": "pw", "allowlist": {"alice": ["Staff"]}},
+            {"passphrase": "pw", "allowlist": {"bob": ["Mechanic"]}})
+        assert first.mpk == second.mpk
+        first.admin.define_policy("admin", "vc", ["(Mechanic)"])
+        record_id = DataOwner(first.mpk, make_rng("do")).publish(
+            b"before the reopen", parse_policy("(Mechanic)"), "vc", first.client("internal"))
+        reopened = Deployment(tmp_path / "d", "pw", clock=ManualClock(1_000))
+        assert reopened.mpk == first.mpk
+        assert reopened.allowlist["alice"] == ["Staff"]
+        assert reopened.allowlist["bob"] == ["Mechanic"]
+        key = reopened.issue_key("bob", ["Mechanic"])
+        assert Consumer(reopened.mpk, key).fetch_and_decrypt(
+            record_id, reopened.client("external")) == b"before the reopen"
+
+    def test_wrong_passphrase_loses_to_a_concurrent_setup(self, tmp_path):
+        results = _open_together(tmp_path / "d", {"passphrase": "right"},
+                                 {"passphrase": "wrong"})
+        winner, loser = sorted(results, key=lambda r: isinstance(r, Exception))
+        assert isinstance(loser, Unauthorized)
+        passphrase = "right" if results[0] is winner else "wrong"
+        assert Deployment(tmp_path / "d", passphrase, clock=ManualClock()).mpk == winner.mpk
+
+    def test_lost_public_key_export_opens_with_the_same_mpk(self, tmp_path):
+        first = Deployment(tmp_path / "d", "pw", clock=ManualClock(), allowlist=ALLOW)
+        (tmp_path / "d" / "aa" / "mpk.bin").unlink()
+        assert Deployment(tmp_path / "d", "pw", clock=ManualClock()).mpk == first.mpk
+
+    def test_missing_sealed_master_key_makes_a_fresh_pair(self, tmp_path):
+        """A crash before ``master.enc`` is written leaves no pair: the next
+        open creates one and exports its public key over the stale one."""
+        first = Deployment(tmp_path / "d", "pw", clock=ManualClock(), allowlist=ALLOW)
+        (tmp_path / "d" / "aa" / "master.enc").unlink()
+        second = Deployment(tmp_path / "d", "pw", clock=ManualClock())
+        assert second.mpk != first.mpk
+        exported = (tmp_path / "d" / "aa" / "mpk.bin").read_bytes()
+        assert MasterPublicKey.from_bytes(exported) == second.mpk
 
     def test_mpk_stable_across_restart(self, tmp_path):
         first = Deployment(tmp_path / "d", "pw", clock=ManualClock(), allowlist=ALLOW)
@@ -538,8 +588,9 @@ class TestPolicyUpdate:
 
 
 class TestDamagedStoreFiles:
-    """A store file with a field of the wrong type is refused with
-    StoreFailure before any service computes with it."""
+    """A store file with a field of the wrong type, or one that names
+    another record or policy, is refused with StoreFailure before any
+    service computes with it."""
 
     def test_policy_layers_not_a_list_refuse_a_publish(self, deployment):
         (path,) = (deployment.data_dir / "policies").glob("*.json")
@@ -559,6 +610,31 @@ class TestDamagedStoreFiles:
         with pytest.raises(StoreFailure, match=f"record {record_id} corrupt"):
             deployment.client("admin", caller="admin").request(
                 "POST /policy", {"name": "vc", "layers": ["(Boss)"]})
+
+    def test_record_copied_over_another_is_refused(self, deployment):
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        first, second = (owner.publish(data, parse_policy("(Staff)"), "vc",
+                                       deployment.client("internal"))
+                         for data in (b"first", b"second"))
+        ct_dir = deployment.data_dir / "ct"
+        shutil.copyfile(ct_dir / f"{first}.json", ct_dir / f"{second}.json")
+        with pytest.raises(StoreFailure, match=f"record {second} corrupt"):
+            deployment.client("external").request("GET /ct/{id}", {"id": second})
+        with pytest.raises(StoreFailure, match=f"record {second} corrupt"):
+            deployment.client("admin", caller="admin").request(
+                "POST /policy", {"name": "vc", "layers": ["(Boss)"]})
+
+    def test_policy_copied_over_another_refuses_a_publish(self, deployment):
+        policies = deployment.data_dir / "policies"
+        (vc_path,) = policies.glob("*.json")
+        deployment.client("admin", caller="admin").request(
+            "POST /policy", {"name": "other", "layers": ["(Boss)"]})
+        (other_path,) = set(policies.glob("*.json")) - {vc_path}
+        shutil.copyfile(other_path, vc_path)
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        with pytest.raises(StoreFailure, match="policy vc corrupt"):
+            owner.publish(b"data", parse_policy("(Staff)"), "vc",
+                          deployment.client("internal"))
 
 
 class TestTimeGate:

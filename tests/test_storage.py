@@ -175,8 +175,8 @@ class TestCtStore:
 
 
 # Contents that do not decode to a record, a policy definition, an
-# incident or a deployment config. None stands for a file of the kind
-# that decodes but has a field of the wrong type.
+# incident or a deployment config. None stands for the files of the kind
+# that decode but have a field of the wrong type.
 MALFORMED_FILES = {"not-json": b"{not json", "missing-field": b"{}",
                    "not-an-object": b"[1, 2]", "wrong-type": None}
 
@@ -187,35 +187,40 @@ def test_malformed_file_raises_store_failure(tmp_path, kind, content):
     """Every read of a damaged file raises StoreFailure naming it; a
     damaged incident line is never skipped."""
     clock = ManualClock()
+    prefix = suffix = b""
     if kind == "record":
         store = CtStore(tmp_path)
         record = store.put_new(b"data", 0, "vc", 1, clock)
-        name, wrong = record.id, encode_frame(dict(vars(record), policy_version="1"))
+        name, wrong = record.id, [encode_frame(dict(vars(record), policy_version="1"))]
         (path,) = tmp_path.glob("*.json")
         read = lambda: store.get(name)
     elif kind == "policy":
         store = PolicyStore(tmp_path)
         name = "vc"
         store.define(name, ["(A)"], clock)
-        wrong = b'{"history": [], "layers": 5, "name": "vc", "version": 1}'
+        wrong = [b'{"history": [], "layers": 5, "name": "vc", "version": 1}']
         (path,) = tmp_path.glob("*.json")
         read = lambda: store.get(name)
     elif kind == "incident-log":
         path = tmp_path / "incidents.log"
         log = SecurityEventLog(path)
         log.record(5, "before the damage")
-        wrong = b'{"reason": "", "t_incident": "6"}'
-        content = path.read_bytes() + (content or wrong) + b"\n"
+        wrong = [b'{"reason": "", "t_incident": "6"}']
+        prefix, suffix = path.read_bytes(), b"\n"
         name, read = str(path), lambda: log.current
     else:
         path = tmp_path / "config.json"
-        wrong = b'{"admin_ids": ["admin"], "allowlist": []}'
+        # An allowlist entry that is a string would grant its characters.
+        wrong = [b'{"admin_ids": ["admin"], "allowlist": []}',
+                 b'{"admin_ids": ["admin"], "allowlist": {"bob": "Mechanic"}}',
+                 b'{"admin_ids": ["admin"], "allowlist": {"bob": 5}}',
+                 b'{"admin_ids": [5], "allowlist": {}}']
         name, read = str(path), lambda: Deployment(tmp_path, "pw", clock=clock)
-    content = content or wrong
-    path.write_bytes(content)
-    for _ in range(2):
-        with pytest.raises(StoreFailure, match=re.escape(f"{name} corrupt")):
-            read()
+    for bad in [content] if content else wrong:
+        path.write_bytes(prefix + bad + suffix)
+        for _ in range(2):
+            with pytest.raises(StoreFailure, match=re.escape(f"{name} corrupt")):
+                read()
 
 
 class TestAtomicWrite:

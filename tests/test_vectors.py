@@ -17,7 +17,7 @@ import pytest
 
 from support import make_rng
 
-from mlabe.abe import keygen, setup
+from mlabe.abe import keygen, public_key, setup
 from mlabe.containers import HybridCiphertext
 from mlabe.hybrid import hybrid_encrypt
 from mlabe.multilayer import add_layers, layered_decrypt
@@ -64,3 +64,9 @@ def test_vector_decrypts(vectors):
     assert vectors["ct3"].n_layers == 3
     assert layered_decrypt(vectors["pair"].mpk, vectors["usk"],
                            vectors["ct3"]) == PLAINTEXT
+
+
+def test_public_key_derived_from_the_secret_key(vectors):
+    """The authority reads back only the sealed secret key and derives the
+    public key from it; the derivation yields the pinned public key."""
+    assert _sha256(public_key(vectors["pair"].msk).to_bytes()) == EXPECTED["mpk"]
