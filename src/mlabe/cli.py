@@ -100,10 +100,10 @@ def _fail(exc: Exception, code: int) -> int:
 
 def cmd_setup(args: argparse.Namespace) -> int:
     data_dir = _data_dir(args)
-    if (data_dir / "config.json").exists():
+    # Opening merges --allow and --admin into the configuration either way.
+    if not _load_deployment(args, create=True).aa.created:
         print(f"{data_dir} already initialized")
         return EXIT_OK
-    _load_deployment(args, create=True)
     print(f"initialized {data_dir}; public parameters at {data_dir / 'aa' / 'mpk.bin'}")
     return EXIT_OK
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import weakref
 from pathlib import Path
 from typing import Callable
 
@@ -124,6 +125,7 @@ class AttributeAuthority:
         self._clock = clock
         self._allowlist = {k: set(v) for k, v in allowlist.items()}
         self._rng = rng
+        self.created = False  # whether this open made the pair
         self._pair = self._load_or_create_pair(passphrase.encode("utf-8"))
 
     def _load_or_create_pair(self, passphrase: bytes) -> MasterKeyPair:
@@ -140,7 +142,10 @@ class AttributeAuthority:
                 nonce, pair.msk.to_bytes(), b"")
             atomic_write(self._dir / "mpk.bin", pair.mpk.to_bytes())
             atomic_write(sealed_path, salt + nonce + sealed)
+            self.created = True
             return pair
+        if len(blob) < 16 + 12 + 16:  # salt, nonce and the AES-GCM tag
+            raise StoreFailure(f"sealed master key {sealed_path} truncated: {len(blob)} bytes")
         salt, nonce, sealed = blob[:16], blob[16:28], blob[28:]
         try:
             msk_bytes = AESGCM(_seal_key(passphrase, salt)).decrypt(nonce, sealed, b"")
@@ -502,6 +507,7 @@ class ServedDeployment:
                  tap: TransportTap | None):
         self.deployment = deployment
         self.tap = tap
+        self._clients: weakref.WeakSet[ServiceClient] = weakref.WeakSet()
         self.servers = {name: ServiceServer(name, routes, host, tap=tap)
                         for name, routes in deployment.routes.items()}
         for server in self.servers.values():
@@ -511,9 +517,15 @@ class ServedDeployment:
         return self.servers[name].address
 
     def client(self, name: str, caller: str = "") -> ServiceClient:
-        return ServiceClient(self.address(name), caller=caller, tap=self.tap)
+        client = ServiceClient(self.address(name), caller=caller, tap=self.tap)
+        self._clients.add(client)
+        return client
 
     def stop(self) -> None:
+        """Close every client handed out that is still alive, then stop
+        the servers."""
+        for client in list(self._clients):
+            client.close()
         for server in self.servers.values():
             server.stop()
 

@@ -39,6 +39,13 @@ class TestLifecycle:
         assert run("setup") == EXIT_OK
         assert "already initialized" in capsys.readouterr().out
 
+    def test_second_setup_adds_its_allowlist_entries(self, env, capsys):
+        initialized(env)
+        assert run("setup", "--allow", "bob:Staff") == EXIT_OK
+        assert "already initialized" in capsys.readouterr().out
+        assert run("keygen", "--requester", "bob", "--attrs", "Staff",
+                   "--out", str(env / "bob.key")) == EXIT_OK
+
     def test_missing_passphrase_is_usage_error(self, env, monkeypatch):
         monkeypatch.delenv("MLABE_AA_PASSPHRASE")
         assert run("setup") == EXIT_USAGE

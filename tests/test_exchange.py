@@ -3,11 +3,17 @@ time gate, and wire-level confidentiality."""
 
 from __future__ import annotations
 
+import gc
 import json
+import select
 import shutil
 import socket
 import struct
+import sys
 import threading
+import time
+import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -168,6 +174,13 @@ class TestAttributeAuthority:
         assert second.mpk != first.mpk
         exported = (tmp_path / "d" / "aa" / "mpk.bin").read_bytes()
         assert MasterPublicKey.from_bytes(exported) == second.mpk
+
+    @pytest.mark.parametrize("blob", [b"", b"short"])
+    def test_truncated_sealed_master_key_is_a_store_failure(self, tmp_path, blob):
+        Deployment(tmp_path / "d", "pw", clock=ManualClock(), allowlist=ALLOW)
+        (tmp_path / "d" / "aa" / "master.enc").write_bytes(blob)
+        with pytest.raises(StoreFailure, match="master.enc"):
+            Deployment(tmp_path / "d", "pw", clock=ManualClock())
 
     def test_mpk_stable_across_restart(self, tmp_path):
         first = Deployment(tmp_path / "d", "pw", clock=ManualClock(), allowlist=ALLOW)
@@ -1019,3 +1032,160 @@ class TestWire:
         assert frames_contain_secret(stored, sealed[:64])
         assert not frames_contain_secret(stored, plaintext)
         assert not frames_contain_secret(stored, drawn[0])
+
+
+@pytest.fixture()
+def counted_server(monkeypatch):
+    """A served route table with an echo route; ``accepted`` counts the
+    connections the server accepts and ``delivered`` the echo requests
+    it runs."""
+    delivered: list[dict] = []
+
+    def echo(params: dict, caller: str) -> dict:
+        delivered.append(params)
+        return params
+    server = ServiceServer("counted", {"POST /echo": echo})
+    server.accepted = 0
+    server.delivered = delivered
+    get_request = server._server.get_request
+
+    def counting_get_request():
+        connection = get_request()
+        server.accepted += 1
+        return connection
+    monkeypatch.setattr(server._server, "get_request", counting_get_request)
+    server.start()
+    try:
+        yield server
+    finally:
+        server.stop()
+
+
+class TestConnections:
+    """Long-lived connections: reuse, reconnects, the whole-frame deadline
+    and stopping with connections open."""
+
+    def test_requests_on_one_client_share_one_connection(self, counted_server):
+        client = ServiceClient(counted_server.address)
+        try:
+            replies = [client.request("POST /echo", {"n": n}) for n in range(5)]
+        finally:
+            client.close()
+        assert replies == [{"n": n} for n in range(5)]
+        assert counted_server.accepted == 1
+
+    def test_request_after_the_server_idle_close_reconnects(self, counted_server, monkeypatch):
+        """The server closes the connection at its idle deadline; the next
+        request sees the close before it sends, and is delivered once."""
+        monkeypatch.setattr(transport, "CONNECTION_TIMEOUT_S", 0.2)
+        client = ServiceClient(counted_server.address)
+        try:
+            client.request("POST /echo", {"n": 1})
+            # The server handler already took its 0.2 s idle deadline; the
+            # client's own idle limit is long again, so only the close shows.
+            monkeypatch.setattr(transport, "CONNECTION_TIMEOUT_S", 10.0)
+            time.sleep(0.6)
+            assert client.request("POST /echo", {"n": 2}) == {"n": 2}
+        finally:
+            client.close()
+        assert counted_server.accepted == 2
+        assert counted_server.delivered == [{"n": 1}, {"n": 2}]
+
+    def test_connection_idle_past_half_the_deadline_is_replaced(self, counted_server, monkeypatch):
+        monkeypatch.setattr(transport, "CONNECTION_TIMEOUT_S", 1.0)
+        client = ServiceClient(counted_server.address)
+        try:
+            client.request("POST /echo", {"n": 1})
+            time.sleep(0.6)
+            client.request("POST /echo", {"n": 2})
+        finally:
+            client.close()
+        assert counted_server.accepted == 2
+        assert counted_server.delivered == [{"n": 1}, {"n": 2}]
+
+    def test_stop_ends_an_idle_open_connection(self, monkeypatch):
+        """stop() returns promptly, and no request is served on a
+        connection opened before it."""
+        monkeypatch.setattr(transport, "CONNECT_BACKOFF_S", 0.01)
+        server = ServiceServer("probe", {}).start()
+        client = ServiceClient(server.address)
+        try:
+            client.request("GET /health")
+            start = time.monotonic()
+            server.stop()
+            assert time.monotonic() - start < 1.0
+            with pytest.raises(EngineUnreachable, match="unreachable after"):
+                client.request("GET /health")
+        finally:
+            client.close()
+
+    def test_threads_sharing_a_client_get_their_own_responses(self, counted_server):
+        client = ServiceClient(counted_server.address)
+
+        def echo_all(thread: int) -> bool:
+            return all(client.request("POST /echo", {"t": thread, "n": n}) == {"t": thread, "n": n}
+                       for n in range(40))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                results = list(pool.map(echo_all, range(3), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+            client.close()
+        assert results == [True] * 3
+        assert counted_server.accepted == 1
+
+    def test_dropped_client_closes_its_connection_without_a_warning(self, counted_server):
+        client = ServiceClient(counted_server.address)
+        client.request("POST /echo", {})
+        alive = weakref.ref(client)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            del client
+            gc.collect()
+        assert alive() is None
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_malformed_frames_keep_the_connection_serving(self):
+        server = ServiceServer("probe", {}).start()
+        try:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                for body in (MALFORMED_BODIES["marker-out-of-range"], _body(_HEALTH)):
+                    sock.sendall(_u32(len(body)) + body)
+                replies = [_read_reply_header(sock), _read_reply_header(sock)]
+        finally:
+            server.stop()
+        assert replies[0]["error"] == "ExchangeError"
+        assert replies[1]["result"]["status"] == "ok"
+
+    def test_trickling_peer_is_dropped_at_the_frame_deadline(self, monkeypatch):
+        """A peer that sends a frame one byte at a time, each within the
+        idle deadline, is dropped once the whole frame is late."""
+        monkeypatch.setattr(transport, "CONNECTION_TIMEOUT_S", 0.3)
+        server = ServiceServer("probe", {}).start()
+        try:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(_u32(100))
+                start = time.monotonic()
+                closed = False
+                while not closed and time.monotonic() - start < 3.0:
+                    time.sleep(0.1)
+                    try:
+                        sock.send(b"x")
+                        closed = bool(select.select([sock], [], [], 0)[0]) and sock.recv(1) == b""
+                    except (BrokenPipeError, ConnectionResetError):
+                        closed = True
+                elapsed = time.monotonic() - start
+            assert closed
+            assert elapsed < 1.2
+            assert ServiceClient(server.address).request("GET /health")["status"] == "ok"
+        finally:
+            server.stop()
+
+    def test_listen_backlog(self):
+        server = ServiceServer("probe", {})
+        try:
+            assert server._server.request_queue_size == transport.LISTEN_BACKLOG >= 128
+        finally:
+            server._server.server_close()
