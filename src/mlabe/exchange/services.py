@@ -508,10 +508,8 @@ class ServedDeployment:
         self.deployment = deployment
         self.tap = tap
         self._clients: weakref.WeakSet[ServiceClient] = weakref.WeakSet()
-        self.servers = {name: ServiceServer(name, routes, host, tap=tap)
+        self.servers = {name: ServiceServer(name, routes, host, tap=tap).start()
                         for name, routes in deployment.routes.items()}
-        for server in self.servers.values():
-            server.start()
 
     def address(self, name: str) -> tuple[str, int]:
         return self.servers[name].address

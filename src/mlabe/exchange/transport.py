@@ -28,7 +28,8 @@ A connection carries many frames, one request and its response at a
 time. The server serves a connection until the peer closes it or stays
 idle past ``CONNECTION_TIMEOUT_S``, allows the same time in total for
 the rest of a frame once its length prefix has arrived, answers a
-malformed frame with an ExchangeError frame and reads on. A
+malformed frame with an ExchangeError frame and reads on, and on
+``stop()`` refuses new connections and ends the open ones at once. A
 ServiceClient keeps one connection open, reconnects before it sends on
 one the peer has closed or that has idled past half the server's
 deadline, and never resends a frame once sent. The client raises
@@ -41,7 +42,6 @@ from __future__ import annotations
 import json
 import select
 import socket
-import socketserver
 import struct
 import threading
 import time
@@ -211,7 +211,7 @@ def dispatch(routes: dict[str, Handler], request: dict) -> dict:
     """Run one request message against a route table; errors become
     response messages."""
     op = request.get("op")
-    handler = routes.get(op)
+    handler = routes.get(op) if isinstance(op, str) else None
     if handler is None:
         return {"ok": False, "error": "NotFound", "message": f"unknown op {op!r}"}
     try:
@@ -246,9 +246,9 @@ class LocalClient:
 
 
 class ServiceServer:
-    """One TCP service: a named route table behind a threading server,
-    one thread per connection, each serving frames until the peer closes
-    or idles past ``CONNECTION_TIMEOUT_S``."""
+    """One TCP service: a named route table behind a listening socket, an
+    accept loop on one thread and one thread per connection, each serving
+    frames until the peer closes or idles past ``CONNECTION_TIMEOUT_S``."""
 
     def __init__(self, name: str, routes: dict[str, Handler],
                  host: str = "127.0.0.1", port: int = 0,
@@ -258,73 +258,73 @@ class ServiceServer:
         self._routes.setdefault("GET /health", lambda params, caller: {
             "status": "ok", "service": name})
         self._tap = tap
-        # Accepted connections not yet closed, so that stop() can end them.
+        self._listener = socket.create_server((host, port), backlog=LISTEN_BACKLOG)
+        # Connections not yet closed, for stop() to end; the lock orders accept against stop().
         self._connections: set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
-        outer = self
-
-        class _Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
-                self.request.settimeout(CONNECTION_TIMEOUT_S)
-                while True:
-                    try:
-                        request = _recv_frame(self.request, outer._tap, f"{outer.name}<-")
-                    except ValueError as exc:  # a whole frame, malformed
-                        response = {"ok": False, "error": "ExchangeError",
-                                    "message": f"malformed request frame: {exc}"}
-                    except OSError:  # closed, oversized frame, idle or slow past the deadline
-                        return
-                    else:
-                        response = dispatch(outer._routes, request)
-                    try:
-                        _send_frame(self.request, response, outer._tap, f"{outer.name}->")
-                    except OSError:
-                        return
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-            request_queue_size = LISTEN_BACKLOG
-
-            # Both run before the connection's handler thread starts and
-            # after it ends, so a connection is in the set while it can
-            # be read.
-            def process_request(self, request, client_address) -> None:
-                with outer._connections_lock:
-                    outer._connections.add(request)
-                super().process_request(request, client_address)
-
-            def shutdown_request(self, request) -> None:
-                with outer._connections_lock:
-                    outer._connections.discard(request)
-                super().shutdown_request(request)
-
-        self._server = _Server((host, port), _Handler)
-        self._thread: threading.Thread | None = None
+        self._lock = threading.Lock()
+        self._stopping = False
+        self._thread = threading.Thread(target=self._accept_loop, name=f"mlabe-{name}",
+                                        daemon=True)
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
+        return self._listener.getsockname()[:2]
 
     def start(self) -> "ServiceServer":
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name=f"mlabe-{self.name}", daemon=True)
         self._thread.start()
         return self
 
+    def _accept_loop(self) -> None:
+        while not self._stopping:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:  # ECONNABORTED, EMFILE, ... are skipped; so is stop()'s EINVAL
+                continue
+            with self._lock:
+                if self._stopping:
+                    conn.close()
+                    return
+                self._connections.add(conn)
+            threading.Thread(target=self._serve_connection, args=(conn,), daemon=True).start()
+
+    def _serve_connection(self, connection: socket.socket) -> None:
+        try:
+            connection.settimeout(CONNECTION_TIMEOUT_S)
+            while True:
+                try:
+                    request = _recv_frame(connection, self._tap, f"{self.name}<-")
+                except ValueError as exc:  # a whole frame, malformed
+                    response = {"ok": False, "error": "ExchangeError",
+                                "message": f"malformed request frame: {exc}"}
+                else:
+                    response = dispatch(self._routes, request)
+                _send_frame(connection, response, self._tap, f"{self.name}->")
+        except OSError:  # closed, oversized frame, idle or slow past the deadline, failed write
+            pass
+        finally:
+            with self._lock:
+                self._connections.discard(connection)
+            connection.close()
+
     def stop(self) -> None:
-        """Stop accepting and end every open connection, so that no
-        handler reads another request after this returns."""
-        self._server.shutdown()
-        with self._connections_lock:
+        """Refuse new connections and end the open ones at once, so that none
+        reads another request after this returns; idempotent, and safe unstarted."""
+        with self._lock:
+            if self._stopping:
+                return
+            self._stopping = True
+        # The accept loop relies on Linux waking a thread blocked in accept()
+        # at once, with EINVAL, when the listening socket is shut down.
+        self._listener.shutdown(socket.SHUT_RDWR)
+        if self._thread.is_alive():
+            self._thread.join()
+        self._listener.close()
+        with self._lock:
             for connection in self._connections:
                 try:
                     connection.shutdown(socket.SHUT_RDWR)
                 except OSError:  # the peer already reset it
                     pass
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
 
 
 class ServiceClient:

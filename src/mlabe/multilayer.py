@@ -162,15 +162,3 @@ def update_outer_layers(mpk: MasterPublicKey, engine_sk: UserSecretKey,
         return stripped
     return add_layers(mpk, stripped, new_policies)
 
-
-def outer_policy_text(ct: LayeredAbeCiphertext) -> str | None:
-    """Canonical policy of the outermost layer, read from its own header
-    (None when no layers are present)."""
-    if ct.n_layers == 0:
-        return None
-    try:
-        kem, _, _ = _open_layer(ct.body)
-        _, policy_text, _, _ = kem.header_fields
-        return policy_text
-    except MalformedCiphertext as exc:
-        raise MalformedLayer(str(exc)) from exc

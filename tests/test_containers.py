@@ -21,7 +21,7 @@ from mlabe.containers import (
 )
 from mlabe.errors import MalformedCiphertext, MalformedLayer
 from mlabe.hybrid import hybrid_encrypt
-from mlabe.multilayer import add_layers, outer_policy_text
+from mlabe.multilayer import add_layers, peel_layers
 from mlabe.policy import parse_policy
 
 from conftest import issue
@@ -73,22 +73,23 @@ def test_malformed_keys_fail_closed(cls, kind, sections):
         cls.from_bytes(pack_container(kind, 1, sections))
 
 
-def test_outer_policy_of_empty_layer_fails_closed():
+def test_peel_of_empty_layer_fails_closed(master_pair):
     ct = LayeredAbeCiphertext(body=pack_container(KIND_LAYER, 1, []),
                               layer_policies=("A",))
     with pytest.raises(MalformedLayer):
-        outer_policy_text(ct)
+        peel_layers(master_pair.mpk, issue(master_pair, {"A"}), ct, 1)
 
 
-def test_outer_policy_of_short_nonce_layer_fails_closed(master_pair):
-    """The outer policy is read through the same layer reader as peeling,
-    so a layer whose nonce is 11 bytes wide is malformed here too."""
+def test_peel_of_short_nonce_layer_fails_closed(master_pair):
+    """A layer whose nonce is 11 bytes wide is malformed, even to a key
+    that satisfies its policy."""
     ct = hybrid_encrypt(master_pair.mpk, parse_policy("A"), b"payload", make_rng("nonce"))
     layered = add_layers(master_pair.mpk, ct.ct_abe, [parse_policy("C")])
+    key = issue(master_pair, {"C"})
     _, (kem, nonce, sealed) = unpack_container(layered.body, KIND_LAYER, 3)
-    assert outer_policy_text(layered) == "C"
+    assert peel_layers(master_pair.mpk, key, layered, 1) == ct.ct_abe
     short = LayeredAbeCiphertext(
         body=pack_container(KIND_LAYER, 1, [kem, nonce[:11], sealed]),
         layer_policies=layered.layer_policies)
     with pytest.raises(MalformedLayer):
-        outer_policy_text(short)
+        peel_layers(master_pair.mpk, key, short, 1)

@@ -15,6 +15,7 @@ import time
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 
 import pytest
 
@@ -808,16 +809,16 @@ class TestWire:
         assert str(caught.value) == "boom"
 
     @staticmethod
-    def _assert_error_frame_then_serving(body: bytes) -> None:
+    def _assert_error_frame_then_serving(body: bytes, error: str = "ExchangeError") -> None:
         """Send one hand-built frame body; the server must answer with an
-        ExchangeError frame and keep serving."""
+        `error` frame and keep serving."""
         server = ServiceServer("probe", {}).start()
         try:
             with socket.create_connection(server.address, timeout=5) as sock:
                 sock.sendall(_u32(len(body)) + body)
                 reply = _read_reply_header(sock)
             assert reply["ok"] is False
-            assert reply["error"] == "ExchangeError"
+            assert reply["error"] == error
             health = ServiceClient(server.address).request("GET /health")
             assert health["status"] == "ok"
         finally:
@@ -832,6 +833,13 @@ class TestWire:
     @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
     def test_malformed_frame_gets_error_frame(self, body):
         self._assert_error_frame_then_serving(body)
+
+    @pytest.mark.parametrize("op", [b'["GET /health"]', b'{"a": 1}'], ids=["list", "object"])
+    def test_op_that_is_not_a_string_gets_not_found_frame(self, op):
+        """An op no route can be named by is unknown; it does not end the
+        connection with a raw TypeError from the route lookup."""
+        self._assert_error_frame_then_serving(
+            _body(b'{"caller": "", "op": ' + op + b', "params": {}}'), "NotFound")
 
     @staticmethod
     def _answer_once(body: bytes, expected: type[Exception],
@@ -1047,13 +1055,12 @@ def counted_server(monkeypatch):
     server = ServiceServer("counted", {"POST /echo": echo})
     server.accepted = 0
     server.delivered = delivered
-    get_request = server._server.get_request
+    serve_connection = server._serve_connection
 
-    def counting_get_request():
-        connection = get_request()
+    def counting_serve_connection(connection):
         server.accepted += 1
-        return connection
-    monkeypatch.setattr(server._server, "get_request", counting_get_request)
+        serve_connection(connection)
+    monkeypatch.setattr(server, "_serve_connection", counting_serve_connection)
     server.start()
     try:
         yield server
@@ -1184,8 +1191,35 @@ class TestConnections:
             server.stop()
 
     def test_listen_backlog(self):
+        """32 clients connecting at once, before any is accepted, all get a
+        connection at once; with a backlog of 5 most wait for a SYN retry."""
         server = ServiceServer("probe", {})
         try:
-            assert server._server.request_queue_size == transport.LISTEN_BACKLOG >= 128
+            with ExitStack() as clients:
+                for _ in range(32):
+                    clients.enter_context(socket.create_connection(server.address, timeout=0.3))
         finally:
-            server._server.server_close()
+            server.start().stop()
+
+    def test_stop_of_a_server_never_started_returns(self):
+        server = ServiceServer("probe", {})
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=2)
+        assert not stopper.is_alive()
+        server.stop()  # a second stop() returns too
+
+    def test_deployment_stop_with_a_client_open_on_every_service_is_prompt(self, deployment):
+        served = deployment.serve()
+        clients = [ServiceClient(served.address(name)) for name in served.servers]
+        try:
+            assert len(clients) == 4
+            for client in clients:
+                assert client.request("GET /health")["status"] == "ok"
+            start = time.monotonic()
+            served.stop()
+            assert time.monotonic() - start < 0.25
+        finally:
+            served.stop()
+            for client in clients:
+                client.close()

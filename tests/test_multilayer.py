@@ -24,7 +24,6 @@ from mlabe.multilayer import (
     add_layers,
     augment_for_engine,
     layered_decrypt,
-    outer_policy_text,
     peel_layers,
     update_outer_layers,
 )
@@ -78,13 +77,6 @@ class TestAddLayers:
         ct = _base(master_pair)
         with pytest.raises(EmptyPolicyList):
             add_layers(master_pair.mpk, ct.ct_abe, [])
-
-    def test_outer_policy_readable_without_peeling(self, master_pair):
-        ct = _base(master_pair)
-        layered = add_layers(master_pair.mpk, ct.ct_abe,
-                             [parse_policy("C"), parse_policy("D OR E")])
-        assert outer_policy_text(layered) == "(D OR E)"
-        assert outer_policy_text(ct.ct_abe) is None
 
 
 class TestPeelLayers:
