@@ -198,19 +198,10 @@ def _bench_config(args: argparse.Namespace) -> BenchConfig:
     return config
 
 
-def cmd_bench_encrypt(args: argparse.Namespace) -> int:
-    meta, rows = run_encrypt_bench(_bench_config(args))
-    text = write_csv(meta, rows, ENCRYPT_COLUMNS, Path(args.out) if args.out else None)
-    if args.out:
-        print(f"wrote {len(rows)} rows -> {args.out}")
-    else:
-        print(text, end="")
-    return EXIT_OK
-
-
-def cmd_bench_size(args: argparse.Namespace) -> int:
-    meta, rows = run_size_bench(_bench_config(args))
-    text = write_csv(meta, rows, SIZE_COLUMNS, Path(args.out) if args.out else None)
+def cmd_bench(args: argparse.Namespace) -> int:
+    """Run the series the subcommand chose (``args.run``) and write its CSV."""
+    meta, rows = args.run(_bench_config(args))
+    text = write_csv(meta, rows, args.columns, Path(args.out) if args.out else None)
     if args.out:
         print(f"wrote {len(rows)} rows -> {args.out}")
     else:
@@ -315,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("bench", help="benchmark harness")
     bench_cmds = p.add_subparsers(dest="bench_command", required=True)
-    for name, func in (("encrypt", cmd_bench_encrypt), ("size", cmd_bench_size)):
+    for name, run, columns in (("encrypt", run_encrypt_bench, ENCRYPT_COLUMNS),
+                               ("size", run_size_bench, SIZE_COLUMNS)):
         q = bench_cmds.add_parser(name)
         q.add_argument("--config", help="BenchConfig JSON file")
         q.add_argument("--out", help="CSV output path (default: stdout)")
@@ -323,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--max-layers", type=int)
         q.add_argument("--do-profile", type=float)
         q.add_argument("--engine-profile", type=float)
-        q.add_argument("--payload-size", type=int)
-        q.set_defaults(func=func)
+        if name == "size":  # the encrypt series times key encapsulation only
+            q.add_argument("--payload-size", type=int)
+        q.set_defaults(func=cmd_bench, run=run, columns=columns)
 
     p = commands.add_parser("roundtrip", help="in-process end-to-end check")
     p.add_argument("--policy", required=True)

@@ -143,7 +143,7 @@ class NotFound(ExchangeError):
 
 
 class EngineUnreachable(ExchangeError):
-    """Engine endpoint could not be reached after retries."""
+    """Engine endpoint could not be connected to, or failed after the request was sent."""
 
 
 class StoreFailure(ExchangeError):

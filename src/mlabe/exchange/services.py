@@ -32,7 +32,6 @@ from __future__ import annotations
 import base64
 import json
 import os
-import weakref
 from pathlib import Path
 from typing import Callable
 
@@ -330,7 +329,8 @@ class AdminService:
     The system-manager and policy-engine responsibilities are collapsed
     into one service. Every policy definition ends with the internal
     engine's re-layer pass, run through the injected notifier, so the
-    records under a redefined policy move to its new version.
+    records under a redefined policy move to its new version. The event
+    log alone picks an incident's ``T_incident``, no earlier than the clock.
     """
 
     def __init__(self, policy_store: PolicyStore, event_log: SecurityEventLog,
@@ -363,8 +363,7 @@ class AdminService:
 
     def record_incident(self, caller: str, reason: str) -> int:
         self._require_admin(caller)
-        t_incident = max(self._clock.now(), self._event_log.current + 1)
-        return self._event_log.record(t_incident, reason)
+        return self._event_log.record(self._clock.now(), reason)
 
     def routes(self) -> dict:
         return {
@@ -501,13 +500,13 @@ class Deployment:
 
 
 class ServedDeployment:
-    """The deployment's services listening on localhost TCP ports."""
+    """The deployment's services listening on localhost TCP ports; each
+    client it hands out is the caller's to close."""
 
     def __init__(self, deployment: Deployment, host: str,
                  tap: TransportTap | None):
         self.deployment = deployment
         self.tap = tap
-        self._clients: weakref.WeakSet[ServiceClient] = weakref.WeakSet()
         self.servers = {name: ServiceServer(name, routes, host, tap=tap).start()
                         for name, routes in deployment.routes.items()}
 
@@ -515,15 +514,9 @@ class ServedDeployment:
         return self.servers[name].address
 
     def client(self, name: str, caller: str = "") -> ServiceClient:
-        client = ServiceClient(self.address(name), caller=caller, tap=self.tap)
-        self._clients.add(client)
-        return client
+        return ServiceClient(self.address(name), caller=caller, tap=self.tap)
 
     def stop(self) -> None:
-        """Close every client handed out that is still alive, then stop
-        the servers."""
-        for client in list(self._clients):
-            client.close()
         for server in self.servers.values():
             server.stop()
 

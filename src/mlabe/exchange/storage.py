@@ -387,9 +387,10 @@ class SecurityEventLog:
     Every read picks up the whole lines appended to the file since the
     last read, so incidents recorded by another log object on the same
     file (another deployment on the same directory) are seen. ``record``
-    holds an exclusive ``flock`` on the file across its read, check and
-    append, so two log objects, in one process or two, cannot both append
-    against the same last incident. Reads take no flock.
+    holds an exclusive ``flock`` on the file across its read, choice of
+    timestamp and append, so every record succeeds and each appends after
+    the last incident of any log object, in one process or two. Reads
+    take no flock.
     """
 
     def __init__(self, path: Path):
@@ -441,17 +442,15 @@ class SecurityEventLog:
             self._refresh()
             return list(self._events)
 
-    def record(self, t_incident: int, reason: str) -> int:
-        line = json.dumps({"t_incident": t_incident, "reason": reason},
-                          sort_keys=True) + "\n"
+    def record(self, not_before: int, reason: str) -> int:
+        """Append an incident at the later of `not_before` and one past the
+        last incident; returns that timestamp."""
         self._path.parent.mkdir(parents=True, exist_ok=True)
         with self._lock, _exclusive(self._path) as handle:
             self._refresh()
-            if t_incident <= self._current():
-                raise StoreFailure(
-                    f"incident timestamps must strictly increase "
-                    f"({t_incident} <= {self._current()})")
-            handle.write(line.encode("utf-8"))
+            t_incident = max(not_before, self._current() + 1)
+            line = json.dumps({"t_incident": t_incident, "reason": reason}, sort_keys=True)
+            handle.write(line.encode("utf-8") + b"\n")
             handle.flush()
             os.fsync(handle.fileno())
             self._refresh()

@@ -32,8 +32,10 @@ malformed frame with an ExchangeError frame and reads on, and on
 ``stop()`` refuses new connections and ends the open ones at once. A
 ServiceClient keeps one connection open, reconnects before it sends on
 one the peer has closed or that has idled past half the server's
-deadline, and never resends a frame once sent. The client raises
-ExchangeError on a response header that is JSON but not an object, and
+deadline, and retries nothing: a failed connect raises EngineUnreachable
+at once, and a frame once sent is never resent. The client alone closes
+its socket. It raises ExchangeError on a response header that is JSON
+but not an object or an error that is not a string, and
 EngineUnreachable on any other malformed response.
 """
 
@@ -60,9 +62,6 @@ CONNECTION_TIMEOUT_S = 10.0
 # Connections the kernel queues for a server before accept; beyond it a
 # client's SYN is dropped and retried only after a second.
 LISTEN_BACKLOG = 128
-# Client connect attempts, and the first wait between them; each later wait doubles.
-CONNECT_ATTEMPTS = 3
-CONNECT_BACKOFF_S = 0.05
 
 
 class TransportTap:
@@ -228,8 +227,10 @@ def _result(response: dict) -> Any:
     """The result of a response message, or its error re-raised by class."""
     if response.get("ok"):
         return response.get("result")
-    error_cls = ERROR_CLASSES.get(response.get("error", ""), ExchangeError)
-    raise error_cls(response.get("message", "remote error"))
+    error = response.get("error")
+    # An error that is not a string names no class; a list or object cannot even be looked up.
+    error_cls = ERROR_CLASSES.get(error) if isinstance(error, str) else None
+    raise (error_cls or ExchangeError)(response.get("message", "remote error"))
 
 
 class LocalClient:
@@ -334,15 +335,17 @@ class ServiceClient:
     on it, the client reconnects if the peer has closed it (the idle
     socket reads as readable) or if it has been idle for more than half of
     ``CONNECTION_TIMEOUT_S``, before the server's idle close can race the
-    send. Only connecting is retried, with exponential backoff: a request
-    that never left cannot have been applied. Once the frame has been
+    send. Nothing is retried. A failed connect raises EngineUnreachable at
+    once: a server listens from its constructor with ``LISTEN_BACKLOG``, so
+    a refused connect would be refused again. Once the frame has been
     sent, any failure closes the connection and raises EngineUnreachable
     without resending, because the server may already have acted on it (a
     resent POST /incident would record two incidents).
 
-    Requests from several threads take turns on the one connection.
-    ``close()`` closes it, and a later request connects again; a client
-    dropped without ``close()`` closes its connection when collected.
+    Requests from several threads take turns on the one connection. Only
+    the client closes its socket: ``close()`` closes it, and a later
+    request connects again; a client dropped without ``close()`` closes
+    its connection when collected.
     """
 
     def __init__(self, address: tuple[str, int], caller: str = "",
@@ -356,17 +359,11 @@ class ServiceClient:
         self._idle_since = 0.0
 
     def _connect(self) -> socket.socket:
-        last_error: OSError | None = None
-        for attempt in range(CONNECT_ATTEMPTS):
-            if attempt:
-                time.sleep(CONNECT_BACKOFF_S * (2 ** (attempt - 1)))
-            try:
-                return socket.create_connection(self._address, timeout=CONNECTION_TIMEOUT_S)
-            except OSError as exc:
-                last_error = exc
-        raise EngineUnreachable(
-            f"{self._address[0]}:{self._address[1]} unreachable "
-            f"after {CONNECT_ATTEMPTS} attempts: {last_error}")
+        try:
+            return socket.create_connection(self._address, timeout=CONNECTION_TIMEOUT_S)
+        except OSError as exc:
+            raise EngineUnreachable(
+                f"cannot connect to {self._address[0]}:{self._address[1]}: {exc}") from exc
 
     def _connection(self) -> socket.socket:
         """The open connection, made anew if it is missing, closed by the

@@ -215,3 +215,10 @@ class TestBenchCommands:
 
     def test_bench_invalid_config(self, env):
         assert run("bench", "encrypt", "--repetitions", "0") == EXIT_USAGE
+
+    def test_payload_size_only_on_bench_size(self, env, capsys):
+        """The encrypt series never encrypts a payload, so it takes no size."""
+        with pytest.raises(SystemExit) as excinfo:
+            run("bench", "encrypt", "--payload-size", "64")
+        assert excinfo.value.code == EXIT_USAGE
+        assert "--payload-size" in capsys.readouterr().err

@@ -269,13 +269,21 @@ class TestPublish:
             owner.publish(b"data", parse_policy("(Staff)"), "nope",
                           deployment.client("internal"))
 
-    def test_engine_unreachable_after_retries(self, deployment, monkeypatch):
-        monkeypatch.setattr(transport, "CONNECT_BACKOFF_S", 0.01)
+    def test_engine_unreachable_when_connect_fails(self, deployment, monkeypatch):
+        """A failed connect raises at once: it is tried exactly once."""
+        connects = []
+        create_connection = socket.create_connection
+
+        def counted(address, *args, **kwargs):
+            connects.append(address)
+            return create_connection(address, *args, **kwargs)
+        monkeypatch.setattr(socket, "create_connection", counted)
         monkeypatch.setattr(transport, "CONNECTION_TIMEOUT_S", 0.2)
         owner = DataOwner(deployment.mpk, make_rng("do"))
         dead = ServiceClient(("127.0.0.1", 9), caller="do1")
-        with pytest.raises(EngineUnreachable):
+        with pytest.raises(EngineUnreachable, match="cannot connect"):
             owner.publish(b"data", parse_policy("(Staff)"), "vc", dead)
+        assert connects == [("127.0.0.1", 9)]
 
     def test_sent_request_is_not_resent(self, monkeypatch):
         """A listener that reads one frame and hangs up without replying:
@@ -298,7 +306,6 @@ class TestPublish:
 
             server = threading.Thread(target=read_and_hang_up, daemon=True)
             server.start()
-            monkeypatch.setattr(transport, "CONNECT_BACKOFF_S", 0.01)
             monkeypatch.setattr(transport, "CONNECTION_TIMEOUT_S", 2)
             client = ServiceClient(listener.getsockname()[:2], caller="admin")
             with pytest.raises(EngineUnreachable, match="not resent"):
@@ -712,6 +719,27 @@ class TestTimeGate:
             Consumer(first.mpk, key).fetch_and_decrypt(
                 record_id, first.client("external"))
 
+    def test_concurrent_incidents_from_two_deployments_all_record(self, tmp_path):
+        """Two deployments on one directory record incidents at once, on one
+        clock that never moves: every incident is recorded, each one past
+        the last."""
+        clock = ManualClock(1_000)
+        first, second = (Deployment(tmp_path / "dep", "pw", clock=clock) for _ in range(2))
+        barrier = threading.Barrier(2)
+
+        def record_50(deployment: Deployment) -> list[int]:
+            barrier.wait(timeout=10)
+            return [deployment.admin.record_incident("admin", f"incident {n}")
+                    for n in range(50)]
+        with ThreadPoolExecutor(2) as pool:
+            returned = [t for ts in pool.map(record_50, (first, second), timeout=60)
+                        for t in ts]
+        stamps = [t for t, _ in first.event_log.events]
+        assert len(stamps) == 100
+        assert all(a < b for a, b in zip(stamps, stamps[1:]))
+        assert sorted(returned) == stamps
+        assert second.event_log.current == stamps[-1]
+
     def test_incident_requires_admin(self, deployment):
         with pytest.raises(Unauthorized):
             deployment.admin.record_incident("alice", "nope")
@@ -842,8 +870,7 @@ class TestWire:
             _body(b'{"caller": "", "op": ' + op + b', "params": {}}'), "NotFound")
 
     @staticmethod
-    def _answer_once(body: bytes, expected: type[Exception],
-                     monkeypatch: pytest.MonkeyPatch) -> Exception:
+    def _answer_once(body: bytes, expected: type[Exception]) -> Exception:
         """A listener that reads one request frame and answers with `body`;
         returns what the client raised."""
         with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -855,7 +882,6 @@ class TestWire:
                     conn.sendall(_u32(len(body)) + body)
             thread = threading.Thread(target=answer)
             thread.start()
-            monkeypatch.setattr(transport, "CONNECT_ATTEMPTS", 1)
             with pytest.raises(expected) as caught:
                 ServiceClient(listener.getsockname()).request("GET /health")
             thread.join(timeout=5)
@@ -863,19 +889,27 @@ class TestWire:
         return caught.value
 
     @pytest.mark.parametrize("body", [b"[1]", b'"s"'])
-    def test_non_object_response_frame_raises(self, body, monkeypatch):
+    def test_non_object_response_frame_raises(self, body):
         """A response frame whose header is not a JSON object fails closed
         with an ExchangeError, not a raw Python error."""
-        caught = self._answer_once(_body(body), ExchangeError, monkeypatch)
+        caught = self._answer_once(_body(body), ExchangeError)
+        assert type(caught) is ExchangeError
+
+    @pytest.mark.parametrize("error", [b'["NotFound"]', b'{"a": 1}'], ids=["list", "object"])
+    def test_error_that_is_not_a_string_raises_exchange_error(self, error):
+        """An error no class can be named by fails closed with an
+        ExchangeError, not a raw TypeError from the class lookup."""
+        caught = self._answer_once(
+            _body(b'{"error": ' + error + b', "message": "boom", "ok": false}'), ExchangeError)
         assert type(caught) is ExchangeError
 
     @pytest.mark.parametrize("body", [MALFORMED_BODIES[k] for k in (
         "truncated-header-length", "section-past-frame-end", "marker-out-of-range",
         "old-format-bare-json")])
-    def test_malformed_response_frame_is_unreachable(self, body, monkeypatch):
+    def test_malformed_response_frame_is_unreachable(self, body):
         """Any other malformed response frame reads as a failure after the
         request was sent, as an unparseable response always has."""
-        self._answer_once(body, EngineUnreachable, monkeypatch)
+        self._answer_once(body, EngineUnreachable)
 
     @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys())
     def test_codec_refuses_malformed_body_with_value_error(self, body):
@@ -1110,10 +1144,10 @@ class TestConnections:
         assert counted_server.accepted == 2
         assert counted_server.delivered == [{"n": 1}, {"n": 2}]
 
-    def test_stop_ends_an_idle_open_connection(self, monkeypatch):
+    def test_stop_ends_an_idle_open_connection(self):
         """stop() returns promptly, and no request is served on a
-        connection opened before it."""
-        monkeypatch.setattr(transport, "CONNECT_BACKOFF_S", 0.01)
+        connection opened before it: the next request finds the connection
+        closed and fails to connect, before any frame is sent."""
         server = ServiceServer("probe", {}).start()
         client = ServiceClient(server.address)
         try:
@@ -1121,7 +1155,7 @@ class TestConnections:
             start = time.monotonic()
             server.stop()
             assert time.monotonic() - start < 1.0
-            with pytest.raises(EngineUnreachable, match="unreachable after"):
+            with pytest.raises(EngineUnreachable, match="cannot connect"):
                 client.request("GET /health")
         finally:
             client.close()
@@ -1208,6 +1242,27 @@ class TestConnections:
         stopper.join(timeout=2)
         assert not stopper.is_alive()
         server.stop()  # a second stop() returns too
+
+    def test_client_kept_across_deployment_stop(self, deployment):
+        """A served client outlives stop(): its next request raises
+        EngineUnreachable, and a client dropped with its connection still
+        open is collected without a ResourceWarning."""
+        served = deployment.serve()
+        kept, dropped = served.client("external"), served.client("admin")
+        try:
+            for client in (kept, dropped):
+                assert client.request("GET /health")["status"] == "ok"
+        finally:
+            served.stop()
+        with pytest.raises(EngineUnreachable):
+            kept.request("GET /health")
+        alive = [weakref.ref(kept), weakref.ref(dropped)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            del client, kept, dropped
+            gc.collect()
+        assert [ref() for ref in alive] == [None, None]
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_deployment_stop_with_a_client_open_on_every_service_is_prompt(self, deployment):
         served = deployment.serve()

@@ -385,12 +385,13 @@ class TestSecurityEventLog:
         assert log.events == [(50, "first"), (60, "second")]
 
     def test_strictly_increasing(self, tmp_path):
+        """A record at or before the last incident lands one past it."""
         log = SecurityEventLog(tmp_path / "incidents.log")
-        log.record(50, "first")
-        with pytest.raises(StoreFailure):
-            log.record(50, "same instant")
-        with pytest.raises(StoreFailure):
-            log.record(49, "backwards")
+        assert log.record(50, "first") == 50
+        assert log.record(50, "same instant") == 51
+        assert log.record(49, "backwards") == 52
+        assert log.record(60, "later") == 60
+        assert [t for t, _ in log.events] == [50, 51, 52, 60]
 
     def test_survives_reload(self, tmp_path):
         path = tmp_path / "incidents.log"
@@ -407,15 +408,14 @@ class TestSecurityEventLog:
         b.record(50, "seen by the other log")
         assert a.current == 50
         assert a.events == [(50, "seen by the other log")]
-        with pytest.raises(StoreFailure):
-            a.record(50, "not newer than the other log's incident")
-        a.record(60, "after")
-        assert b.events == [(50, "seen by the other log"), (60, "after")]
+        assert a.record(50, "not newer than the other log's incident") == 51
+        assert b.events == [(50, "seen by the other log"),
+                            (51, "not newer than the other log's incident")]
 
     def test_records_through_two_logs_stay_increasing(self, tmp_path, monkeypatch):
         """A record through one log that starts while another log is between
-        its check and its append waits for that append, then checks
-        against it."""
+        its read and its append waits for that append, then appends after
+        it."""
         path = tmp_path / "incidents.log"
         a = SecurityEventLog(path)
         b = SecurityEventLog(path)
