@@ -27,7 +27,6 @@ from .containers import (
 )
 from .errors import (
     AeadTagFailure,
-    BackendMismatch,
     ConfigError,
     DecryptError,
     EmptyAttributeSet,
@@ -50,7 +49,6 @@ from .errors import (
     PolicyUnsatisfied,
     StoreFailure,
     Unauthorized,
-    UnsupportedParameter,
 )
 from .hybrid import encapsulation_randomness, fo_decrypt, hybrid_encrypt
 from .multilayer import (

@@ -10,9 +10,10 @@ OR = same share to every child). It is for DEVELOPMENT AND TESTING ONLY:
 the public key embeds the wrap root, so any holder of the public
 parameters can bypass the policy, and colluding users can pool leaf keys.
 Numeric comparisons are evaluated natively against the key's recorded
-values rather than via a cryptographic gadget. A production backend would
-replace the dev functions below; every key, header and layer container
-carries a backend-id byte, which leaves room for one.
+values rather than via a cryptographic gadget. It is the only scheme:
+every key, header and layer container carries the id byte 1, and the
+master keys the security parameter 256; the parsers refuse any other
+value as malformed, so a second scheme would be a format change.
 
 Each leaf key is derived once per public-key object: ``MasterPublicKey``
 memoises the prepared HMAC state of every leaf and comparison key it
@@ -34,16 +35,15 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import containers
+from .containers import DEV_BACKEND_ID  # noqa: F401  (re-exported)
 from .containers import AbeCiphertext, pack_container, parse_header, unpack_container
 from .errors import (
-    BackendMismatch,
     EmptyAttributeSet,
     EntropyFailure,
     MalformedCiphertext,
     MessageTooLong,
     MissingTimestamp,
     PolicyUnsatisfied,
-    UnsupportedParameter,
 )
 from .hashing import HmacKey, length_prefixed, prf, u32, u64, xor_bytes
 from .policy import (
@@ -61,14 +61,15 @@ from .policy import (
 
 Rng = Callable[[int], bytes]
 
-SUPPORTED_SECURITY_BITS = (128, 256)
+SECURITY_BITS = 256  # the u16 first section of every master key
 ENCAPSULATION_WIDTH = 64  # bytes; fits SK_sym || r
 SHARE_BYTES = 32
 SEED_BYTES = 32
 KEY_ID_BYTES = 16
-DEV_BACKEND_ID = 1  # the container id byte of every key, header and layer
 BACKEND_NAME = "dev-keyed-hash"
 LEAF_MEMO_SIZE = 4096  # most leaf-key states one MasterPublicKey keeps
+
+_SECURITY_SECTION = struct.pack(">H", SECURITY_BITS)
 
 # PRF labels, length-prefixed once: each is the first part of prf(key, label, ...).
 _HEADER_SALT, _BODY_NONCE, _SHARE_ROOT, _BODY_KEY, _PAD, _AND_SHARE = map(length_prefixed, (
@@ -94,25 +95,22 @@ def draw_entropy(rng: Rng, n: int) -> bytes:
 
 @dataclass(frozen=True)
 class _MasterKey:
-    """A master key container: security parameter and backend material.
-    The subclasses differ only in container kind; a public key never
-    equals a secret key, even with equal fields."""
+    """A master key container: the security parameter, then the key
+    material. The subclasses differ only in container kind; a public key
+    never equals a secret key, even with equal material."""
 
     KIND: ClassVar[int]
-    backend_id: int
-    k_bits: int
     material: bytes
 
     def to_bytes(self) -> bytes:
-        return pack_container(self.KIND, self.backend_id,
-                              [struct.pack(">H", self.k_bits), self.material])
+        return pack_container(self.KIND, [_SECURITY_SECTION, self.material])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> _MasterKey:
-        backend_id, (k_bits, material) = unpack_container(data, cls.KIND, 2)
-        if len(k_bits) != 2:
-            raise MalformedCiphertext("security parameter field has wrong width")
-        return cls(backend_id, int.from_bytes(k_bits, "big"), material)
+        bits, material = unpack_container(data, cls.KIND, 2)
+        if bits != _SECURITY_SECTION:
+            raise MalformedCiphertext(f"security parameter must be {SECURITY_BITS} bits")
+        return cls(material)
 
 
 class MasterPublicKey(_MasterKey):
@@ -146,25 +144,23 @@ class MasterKeyPair:
 
 @dataclass(frozen=True)
 class UserSecretKey:
-    backend_id: int
     key_id: bytes
     attrs: AttributeSet
     material: bytes
 
     def to_bytes(self) -> bytes:
         return pack_container(
-            containers.KIND_USK, self.backend_id,
+            containers.KIND_USK,
             [self.key_id, self.attrs.canonical_json().encode("utf-8"), self.material])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "UserSecretKey":
-        backend_id, (key_id, attrs_json, material) = unpack_container(
-            data, containers.KIND_USK, 3)
+        key_id, attrs_json, material = unpack_container(data, containers.KIND_USK, 3)
         try:
             attrs = AttributeSet.from_json(attrs_json.decode("utf-8"))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise MalformedCiphertext(f"unreadable key attributes: {exc}") from exc
-        return cls(backend_id=backend_id, key_id=key_id, attrs=attrs, material=material)
+        return cls(key_id=key_id, attrs=attrs, material=material)
 
     @cached_property
     def _leaf_keys(self) -> dict[str, HmacKey]:
@@ -282,26 +278,19 @@ def _recover_secret(node: Node, leaf_start: int, attrs: AttributeSet,
 # Setup / KeyGen / Encrypt / Decrypt
 # ---------------------------------------------------------------------------
 
-def setup(k_bits: int, rng: Rng) -> MasterKeyPair:
+def setup(rng: Rng) -> MasterKeyPair:
     """Run system setup, returning a fresh master key pair."""
-    if k_bits not in SUPPORTED_SECURITY_BITS:
-        raise UnsupportedParameter(
-            f"security parameter must be one of {SUPPORTED_SECURITY_BITS}, got {k_bits}")
-    msk = MasterSecretKey(DEV_BACKEND_ID, k_bits, draw_entropy(rng, SEED_BYTES))
+    msk = MasterSecretKey(draw_entropy(rng, SEED_BYTES))
     return MasterKeyPair(mpk=public_key(msk), msk=msk)
 
 
 def public_key(msk: MasterSecretKey) -> MasterPublicKey:
     """The public parameters of a master secret key; a pure function of it."""
-    if msk.backend_id != DEV_BACKEND_ID:
-        raise BackendMismatch(f"master secret key belongs to backend {msk.backend_id}")
-    return MasterPublicKey(msk.backend_id, msk.k_bits, _wrap_root(msk.material))
+    return MasterPublicKey(_wrap_root(msk.material))
 
 
 def keygen(msk: MasterSecretKey, attrs: AttributeSet, seed: bytes) -> UserSecretKey:
     """Issue a user key for the attribute set; deterministic given the seed."""
-    if msk.backend_id != DEV_BACKEND_ID:
-        raise BackendMismatch(f"master secret key belongs to backend {msk.backend_id}")
     if attrs.empty:
         raise EmptyAttributeSet("key generation needs at least one attribute")
     if TIMESTAMP_ATTRIBUTE not in attrs.numeric:
@@ -318,14 +307,12 @@ def keygen(msk: MasterSecretKey, attrs: AttributeSet, seed: bytes) -> UserSecret
         material += encoded
         material += _leaf_key(wrap_root, name)
     key_id = prf(seed, b"key-id", attrs_blob)[:KEY_ID_BYTES]
-    return UserSecretKey(DEV_BACKEND_ID, key_id, attrs, bytes(material))
+    return UserSecretKey(key_id, attrs, bytes(material))
 
 
 def abe_encrypt(mpk: MasterPublicKey, policy: AccessPolicy, message: bytes,
                 u: bytes) -> AbeCiphertext:
     """Encrypt up to 64 bytes under the policy; pure function of its inputs."""
-    if mpk.backend_id != DEV_BACKEND_ID:
-        raise BackendMismatch(f"public parameters belong to backend {mpk.backend_id}")
     if len(message) > ENCAPSULATION_WIDTH:
         raise MessageTooLong(
             f"encapsulation width is {ENCAPSULATION_WIDTH} bytes, got {len(message)}")
@@ -333,8 +320,7 @@ def abe_encrypt(mpk: MasterPublicKey, policy: AccessPolicy, message: bytes,
     salt = u_key.digest(_HEADER_SALT)[:16]
     nonce = u_key.digest(_BODY_NONCE)[:containers.GCM_NONCE_BYTES]
     header = pack_container(
-        containers.KIND_HEADER, DEV_BACKEND_ID,
-        [policy.canonical().encode("utf-8"), salt, nonce])
+        containers.KIND_HEADER, [policy.canonical().encode("utf-8"), salt, nonce])
     root_secret = u_key.digest(_SHARE_ROOT)
     wrapped: list[bytes] = []
     _wrap_shares(policy.root, root_secret, 0, u_key, mpk, _PAD + length_prefixed(salt), wrapped)
@@ -347,12 +333,7 @@ def abe_encrypt(mpk: MasterPublicKey, policy: AccessPolicy, message: bytes,
 def abe_decrypt(mpk: MasterPublicKey, sk: UserSecretKey, ct: AbeCiphertext) -> bytes:
     """Decrypt; raises PolicyUnsatisfied when the key cannot open the policy
     and MalformedCiphertext when the ciphertext is broken or tampered."""
-    if mpk.backend_id != DEV_BACKEND_ID or sk.backend_id != DEV_BACKEND_ID:
-        raise BackendMismatch("key or public parameters belong to another backend")
-    backend_id, policy_text, salt, nonce = ct.header_fields
-    if backend_id != DEV_BACKEND_ID:
-        # Attacker-controllable bytes: treat as damage, not caller error.
-        raise MalformedCiphertext("ciphertext claims a different backend")
+    policy_text, salt, nonce = ct.header_fields
     try:
         policy = parse_policy(policy_text)
     except Exception as exc:
@@ -388,7 +369,7 @@ def extract_header(ct: AbeCiphertext) -> bytes:
 
 def extract_policy(header: bytes) -> AccessPolicy:
     """Parse the access policy out of header bytes."""
-    _, policy_text, _, _ = parse_header(header)
+    policy_text, _, _ = parse_header(header)
     try:
         return parse_policy(policy_text)
     except Exception as exc:

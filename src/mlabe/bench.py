@@ -119,7 +119,7 @@ def collect_encrypt_samples(config: BenchConfig) -> dict[int, dict[str, list[flo
     between repetitions, so collection pauses do not land inside
     measurement windows.
     """
-    pair = setup(256, counter_rng("bench-master"))
+    pair = setup(counter_rng("bench-master"))
     points = {k * config.attrs_per_layer: _point(config, pair, k)
               for k in config.layer_counts}
     order = list(points.values())
@@ -268,7 +268,7 @@ def run_size_bench(config: BenchConfig) -> tuple[dict, list[dict]]:
     producer's base layer, matching how the reported series count layers.
     """
     rng = counter_rng("bench-size")
-    pair = setup(256, rng)
+    pair = setup(rng)
     payload = counter_rng("bench-payload")(config.payload_size)
     per_layer = config.attrs_per_layer
     rows = []

@@ -221,7 +221,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     policy = parse_policy(args.policy)
     attrs = AttributeSet([a.strip() for a in args.attrs.split(",") if a.strip()],
                          {TIMESTAMP_ATTRIBUTE: clock.now()})
-    pair = abe_setup(256, rng)
+    pair = abe_setup(rng)
     key = abe_keygen(pair.msk, attrs, rng(32))
 
     t_incident = 0

@@ -2,7 +2,8 @@
 
 Two magics exist: ``MLAB`` for key material and ABE-level objects, ``MLCT``
 for the hybrid (payload + encapsulation) container. Both carry a format
-version and length-prefixed sections; the exact layouts are documented in
+version and length-prefixed sections, and ``MLAB`` also the one scheme's
+id byte, ``DEV_BACKEND_ID``; the exact layouts are documented in
 FORMATS.md. Serialization is bit-exact: parsing and re-serializing any
 object yields identical bytes.
 """
@@ -18,6 +19,7 @@ from .errors import MalformedCiphertext
 MAGIC_ABE = b"MLAB"
 MAGIC_HYBRID = b"MLCT"
 FORMAT_VERSION = 1
+DEV_BACKEND_ID = 1  # the id byte of every MLAB container; any other is refused
 
 KIND_MPK = 1
 KIND_MSK = 2
@@ -70,22 +72,22 @@ def _read_sections(data: bytes, offset: int, count: int) -> list[bytes]:
     return sections
 
 
-def pack_container(kind: int, backend_id: int, sections: list[bytes]) -> bytes:
+def pack_container(kind: int, sections: list[bytes]) -> bytes:
     out = bytearray(MAGIC_ABE)
-    out += struct.pack(">BBBH", FORMAT_VERSION, backend_id, kind, len(sections))
+    out += struct.pack(">BBBH", FORMAT_VERSION, DEV_BACKEND_ID, kind, len(sections))
     _write_sections(out, sections)
     return bytes(out)
 
 
-def unpack_container(data: bytes, kind: int,
-                     count: int | None = None) -> tuple[int, list[bytes]]:
-    """Return (backend_id, sections) of an ``MLAB`` container of the given
-    kind, with exactly ``count`` sections when given; raises
-    MalformedCiphertext."""
+def unpack_container(data: bytes, kind: int, count: int | None = None) -> list[bytes]:
+    """The sections of an ``MLAB`` container of the given kind, exactly
+    ``count`` of them when given; raises MalformedCiphertext."""
     _check_prefix(data, MAGIC_ABE)
-    version, backend_id, found_kind, n_sections = struct.unpack_from(">BBBH", data, 4)
+    version, backend, found_kind, n_sections = struct.unpack_from(">BBBH", data, 4)
     if version != FORMAT_VERSION:
         raise MalformedCiphertext(f"unsupported format version {version}")
+    if backend != DEV_BACKEND_ID:
+        raise MalformedCiphertext(f"unknown backend id {backend}")
     sections = _read_sections(data, 9, n_sections)
     if found_kind != kind:
         raise MalformedCiphertext(
@@ -94,17 +96,12 @@ def unpack_container(data: bytes, kind: int,
     if count is not None and n_sections != count:
         raise MalformedCiphertext(
             f"{_KIND_NAMES[kind]} needs {count} sections, found {n_sections}")
-    return backend_id, sections
+    return sections
 
 
 def container_kind(data: bytes) -> int:
     _check_prefix(data, MAGIC_ABE)
     return data[6]
-
-
-def container_backend_id(data: bytes) -> int:
-    _check_prefix(data, MAGIC_ABE)
-    return data[5]
 
 
 # ---------------------------------------------------------------------------
@@ -124,31 +121,30 @@ class AbeCiphertext:
     body: bytes
 
     def to_bytes(self) -> bytes:
-        return pack_container(KIND_CT, container_backend_id(self.header),
-                              [self.header, self.body])
+        return pack_container(KIND_CT, [self.header, self.body])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AbeCiphertext":
-        _, (header, body) = unpack_container(data, KIND_CT, 2)
+        header, body = unpack_container(data, KIND_CT, 2)
         return cls(header=header, body=body)
 
     @cached_property
-    def header_fields(self) -> tuple[int, str, bytes, bytes]:
+    def header_fields(self) -> tuple[str, bytes, bytes]:
         """``parse_header(self.header)`` on first use. Not a field, so a damaged
         header raises only when read, and a failure is not cached."""
         return parse_header(self.header)
 
 
-def parse_header(header: bytes) -> tuple[int, str, bytes, bytes]:
-    """Split header bytes into (backend_id, policy_text, salt, nonce)."""
-    backend_id, (policy_bytes, salt, nonce) = unpack_container(header, KIND_HEADER, 3)
+def parse_header(header: bytes) -> tuple[str, bytes, bytes]:
+    """Split header bytes into (policy_text, salt, nonce)."""
+    policy_bytes, salt, nonce = unpack_container(header, KIND_HEADER, 3)
     try:
         policy_text = policy_bytes.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedCiphertext("header policy text is not UTF-8") from exc
     if len(nonce) != GCM_NONCE_BYTES:
         raise MalformedCiphertext("header nonce has wrong width")
-    return backend_id, policy_text, salt, nonce
+    return policy_text, salt, nonce
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +175,12 @@ class LayeredAbeCiphertext:
         return AbeCiphertext.from_bytes(self.body)
 
     def to_bytes(self) -> bytes:
-        backend_id = container_backend_id(self.body)
         sections = [self.body] + [p.encode("utf-8") for p in self.layer_policies]
-        return pack_container(KIND_LAYERED, backend_id, sections)
+        return pack_container(KIND_LAYERED, sections)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LayeredAbeCiphertext":
-        _, sections = unpack_container(data, KIND_LAYERED)
+        sections = unpack_container(data, KIND_LAYERED)
         if not sections:
             raise MalformedCiphertext("layered container is empty")
         body = sections[0]

@@ -46,10 +46,6 @@ class EmptyPolicyError(PolicyError):
 # Key management
 # ---------------------------------------------------------------------------
 
-class UnsupportedParameter(MlabeError):
-    """Security parameter outside the supported set."""
-
-
 class EmptyAttributeSet(MlabeError):
     """Key generation requires at least one attribute."""
 
@@ -72,10 +68,6 @@ class EmptyPlaintext(MlabeError):
 
 class EntropyFailure(MlabeError):
     """The injected entropy source failed or returned malformed output."""
-
-
-class BackendMismatch(MlabeError):
-    """Key/ciphertext objects belong to different backends."""
 
 
 # ---------------------------------------------------------------------------

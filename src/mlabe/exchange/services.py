@@ -50,7 +50,7 @@ from ..abe import (
     setup,
 )
 from ..containers import HybridCiphertext
-from ..errors import StoreFailure, Unauthorized
+from ..errors import MalformedCiphertext, StoreFailure, Unauthorized
 from ..hybrid import hybrid_encrypt
 from ..multilayer import (
     ENGINE_UPDATE_ATTRIBUTE,
@@ -80,8 +80,6 @@ from .storage import (
 from .transport import LocalClient, ServiceClient, ServiceServer, TransportTap
 
 ENGINE_REQUESTER_ID = "internal-ct-engine"
-# Security parameter of every deployment's master keys.
-SECURITY_BITS = 256
 
 _SCRYPT_N = 2**14
 _SCRYPT_R = 8
@@ -134,7 +132,7 @@ class AttributeAuthority:
         try:
             blob = sealed_path.read_bytes()
         except FileNotFoundError:
-            pair = setup(SECURITY_BITS, self._rng)
+            pair = setup(self._rng)
             salt = self._rng(16)
             nonce = self._rng(12)
             sealed = AESGCM(_seal_key(passphrase, salt)).encrypt(
@@ -219,12 +217,15 @@ class InternalCtEngine:
         return policies, record.version
 
     def publish(self, ct1_bytes: bytes, policy_name: str) -> CtRecord:
-        """Wrap CT_1 in the deployment's layers and store the result.
+        """Wrap CT_1, which must carry no layer, in the deployment's layers
+        and store the result.
 
         If the policy moved while the layers were added, the record is
         behind; the re-layer pass brings it up to date before returning.
         """
         ct1 = HybridCiphertext.from_bytes(ct1_bytes)
+        if ct1.n_layers:
+            raise MalformedCiphertext(f"CT_1 must carry zero layers, found {ct1.n_layers}")
         policies, version = self._stored_layer_policies(policy_name)
         layered = add_layers(self._mpk, ct1.ct_abe, policies) if policies else ct1.ct_abe
         ct2 = HybridCiphertext(ct_aes=ct1.ct_aes, ct_abe=layered)

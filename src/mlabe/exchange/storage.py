@@ -390,7 +390,10 @@ class SecurityEventLog:
     holds an exclusive ``flock`` on the file across its read, choice of
     timestamp and append, so every record succeeds and each appends after
     the last incident of any log object, in one process or two. Reads
-    take no flock.
+    take no flock and skip a last line with no newline yet. Writers append
+    under the flock, so ``record`` finds such a line only as a dead
+    writer's torn tail, and cuts it before it appends. A complete line that
+    does not parse is never cut: every read and record raises StoreFailure.
     """
 
     def __init__(self, path: Path):
@@ -448,6 +451,7 @@ class SecurityEventLog:
         self._path.parent.mkdir(parents=True, exist_ok=True)
         with self._lock, _exclusive(self._path) as handle:
             self._refresh()
+            handle.truncate(self._offset)  # drop a dead writer's unterminated line
             t_incident = max(not_before, self._current() + 1)
             line = json.dumps({"t_incident": t_incident, "reason": reason}, sort_keys=True)
             handle.write(line.encode("utf-8") + b"\n")

@@ -77,7 +77,7 @@ def fo_decrypt(mpk: MasterPublicKey, sk: UserSecretKey, base_ct: AbeCiphertext,
     if len(material) != SYM_KEY_BYTES + R_BYTES:
         raise FoCheckFailed("decapsulated material has wrong width")
     sym_key, r = material[:SYM_KEY_BYTES], material[SYM_KEY_BYTES:]
-    _, policy_text, _, _ = base_ct.header_fields
+    policy_text, _, _ = base_ct.header_fields
     u = encapsulation_randomness(r, sym_key, policy_text)
     reencrypted = abe_encrypt(mpk, parse_policy(policy_text), material, u)
     if reencrypted.header != base_ct.header or reencrypted.body != base_ct.body:

@@ -84,15 +84,14 @@ def add_layers(mpk: MasterPublicKey, ct: LayeredAbeCiphertext,
         kem = abe_encrypt(mpk, policy, layer_key, u)
         nonce = u_key.digest(_LAYER_NONCE)[:GCM_NONCE_BYTES]
         sealed = AESGCM(layer_key).encrypt(nonce, body, kem.header)
-        body = pack_container(containers.KIND_LAYER, mpk.backend_id,
-                              [kem.to_bytes(), nonce, sealed])
+        body = pack_container(containers.KIND_LAYER, [kem.to_bytes(), nonce, sealed])
         texts.append(policy_text)
     return LayeredAbeCiphertext(body=body, layer_policies=tuple(texts))
 
 
 def _open_layer(body: bytes) -> tuple[AbeCiphertext, bytes, bytes]:
     """(kem, nonce, sealed) of one layer container; raises MalformedCiphertext."""
-    _, (kem_bytes, nonce, sealed) = unpack_container(body, containers.KIND_LAYER, 3)
+    kem_bytes, nonce, sealed = unpack_container(body, containers.KIND_LAYER, 3)
     kem = AbeCiphertext.from_bytes(kem_bytes)
     if len(nonce) != GCM_NONCE_BYTES:
         raise MalformedCiphertext("layer nonce has wrong width")
@@ -103,7 +102,7 @@ def _peel_one(mpk: MasterPublicKey, sk: UserSecretKey, body: bytes,
               layer_index: int, expected_policy: str) -> bytes:
     try:
         kem, nonce, sealed = _open_layer(body)
-        _, actual_policy, _, _ = kem.header_fields
+        actual_policy, _, _ = kem.header_fields
         if actual_policy != expected_policy:
             raise MalformedCiphertext("layer policy disagrees with audit metadata")
     except MalformedCiphertext as exc:

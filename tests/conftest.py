@@ -10,7 +10,7 @@ from mlabe.policy import AttributeSet, TIMESTAMP_ATTRIBUTE
 
 @pytest.fixture(scope="session")
 def master_pair():
-    return setup(256, make_rng("session-master"))
+    return setup(make_rng("session-master"))
 
 
 @pytest.fixture()

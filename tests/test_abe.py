@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import pytest
 
@@ -21,16 +21,24 @@ from mlabe.abe import (
     keygen,
     setup,
 )
-from mlabe.containers import KIND_HEADER, AbeCiphertext, pack_container, parse_header
+from mlabe.containers import (
+    KIND_LAYER,
+    KIND_MPK,
+    KIND_MSK,
+    AbeCiphertext,
+    LayeredAbeCiphertext,
+    pack_container,
+    parse_header,
+    unpack_container,
+)
 from mlabe.errors import (
-    BackendMismatch,
     EmptyAttributeSet,
     MalformedCiphertext,
     MessageTooLong,
     MissingTimestamp,
     PolicyUnsatisfied,
-    UnsupportedParameter,
 )
+from mlabe.multilayer import add_layers
 from mlabe.policy import AttributeSet, parse_policy, satisfies
 
 from conftest import issue
@@ -40,25 +48,27 @@ U = make_rng("fixed-u")(32)
 
 class TestSetup:
     def test_parameter_echo(self, rng):
-        pair = setup(256, rng)
-        assert pair.mpk.k_bits == 256
-        assert pair.msk.k_bits == 256
+        """Both master keys record the one security parameter, 256 bits."""
+        pair = setup(rng)
+        assert unpack_container(pair.mpk.to_bytes(), KIND_MPK, 2)[0] == b"\x01\x00"
+        assert unpack_container(pair.msk.to_bytes(), KIND_MSK, 2)[0] == b"\x01\x00"
 
-    def test_both_supported_parameters(self, rng):
-        assert setup(128, rng).mpk.k_bits == 128
-
-    @pytest.mark.parametrize("k", [0, 64, 192, 512])
+    @pytest.mark.parametrize("k", [0, 64, 128, 192, 512])
     def test_unsupported_parameter(self, rng, k):
-        with pytest.raises(UnsupportedParameter):
-            setup(k, rng)
+        """A master key whose security-bits section is not 256 is refused
+        when parsed."""
+        pair = setup(rng)
+        for cls, key in ((MasterPublicKey, pair.mpk), (MasterSecretKey, pair.msk)):
+            with pytest.raises(MalformedCiphertext):
+                cls.from_bytes(pack_container(cls.KIND, [k.to_bytes(2, "big"), key.material]))
 
     def test_setups_differ(self):
-        a = setup(256, make_rng("one")).mpk.to_bytes()
-        b = setup(256, make_rng("two")).mpk.to_bytes()
+        a = setup(make_rng("one")).mpk.to_bytes()
+        b = setup(make_rng("two")).mpk.to_bytes()
         assert a != b
 
     def test_msk_serialization_roundtrip_gives_identical_keys(self, rng):
-        pair = setup(256, rng)
+        pair = setup(rng)
         reloaded = MasterSecretKey.from_bytes(pair.msk.to_bytes())
         assert reloaded == pair.msk
         assert MasterPublicKey(*astuple(reloaded)) != reloaded  # kinds stay distinct
@@ -170,35 +180,26 @@ class TestDecrypt:
         with pytest.raises(MalformedCiphertext):
             abe_decrypt(master_pair.mpk, key, broken)
 
-    @pytest.mark.parametrize("case, error", [
-        ("usk", BackendMismatch),
-        ("mpk-at-encrypt", BackendMismatch),
-        ("msk-at-keygen", BackendMismatch),
-        ("mpk-and-usk", BackendMismatch),
-        ("header", MalformedCiphertext),
-    ])
-    def test_backend_mismatch(self, master_pair, case, error):
-        """A key or public key of another backend is a caller error; a
-        header claiming another backend is damage."""
-        mpk, msk = master_pair.mpk, master_pair.msk
-        key = issue(master_pair, {"A"})
-        policy = parse_policy("A")
-        ct = abe_encrypt(mpk, policy, b"m", U)
-        _, policy_text, salt, nonce = parse_header(ct.header)
-        header = pack_container(KIND_HEADER, 2, [policy_text.encode(), salt, nonce])
-        attempts = {
-            "usk": lambda: abe_decrypt(mpk, replace(key, backend_id=9), ct),
-            "mpk-at-encrypt": lambda: abe_encrypt(replace(mpk, backend_id=9), policy, b"m", U),
-            "msk-at-keygen": lambda: keygen(replace(msk, backend_id=9), key.attrs, bytes(32)),
-            "mpk-and-usk": lambda: abe_decrypt(replace(mpk, backend_id=9),
-                                               replace(key, backend_id=9), ct),
-            "header": lambda: abe_decrypt(mpk, key, AbeCiphertext(header, ct.body)),
-        }
-        with pytest.raises(error):
-            attempts[case]()
+    @pytest.mark.parametrize("case", ["usk", "mpk", "msk", "header", "layer"])
+    def test_backend_mismatch(self, master_pair, case):
+        """A container whose backend-id byte (byte 5) is not the one
+        scheme's is refused when parsed."""
+        ct = abe_encrypt(master_pair.mpk, parse_policy("A"), b"m", U)
+        layered = add_layers(master_pair.mpk, LayeredAbeCiphertext(ct.to_bytes()),
+                             [parse_policy("B")])
+        good, parse = {
+            "usk": (issue(master_pair, {"A"}).to_bytes(), UserSecretKey.from_bytes),
+            "mpk": (master_pair.mpk.to_bytes(), MasterPublicKey.from_bytes),
+            "msk": (master_pair.msk.to_bytes(), MasterSecretKey.from_bytes),
+            "header": (ct.header, parse_header),
+            "layer": (layered.body, lambda data: unpack_container(data, KIND_LAYER, 3)),
+        }[case]
+        parse(good)
+        with pytest.raises(MalformedCiphertext, match="backend id 9"):
+            parse(good[:5] + b"\x09" + good[6:])
 
     def test_key_from_other_master_rejected(self, master_pair):
-        other = setup(256, make_rng("other-master"))
+        other = setup(make_rng("other-master"))
         key = issue(other, {"A"})
         ct = abe_encrypt(master_pair.mpk, parse_policy("A"), b"m", U)
         # Same backend, different master secret: must not decrypt.

@@ -56,7 +56,7 @@ def criterion(number: int, description: str):
 
 @pytest.fixture(scope="module")
 def pair():
-    return setup(256, make_rng("acceptance-master"))
+    return setup(make_rng("acceptance-master"))
 
 
 @pytest.fixture(scope="module")

@@ -105,6 +105,8 @@ class TestFileFlow:
         assert code == EXIT_INTEGRITY
 
     def test_malformed_key_exits_5(self, env, tmp_path):
+        """A key with too few sections, and a real key whose backend-id
+        byte (byte 5) is not the one scheme's."""
         from mlabe.containers import KIND_USK, pack_container
 
         initialized(env)
@@ -112,10 +114,14 @@ class TestFileFlow:
         payload.write_bytes(b"x" * 50)
         run("encrypt", "--policy", "Staff", "--in", str(payload),
             "--out", str(tmp_path / "ct1.bin"))
-        (tmp_path / "bad.key").write_bytes(pack_container(KIND_USK, 1, [b"id", b"{}"]))
-        assert run("decrypt", "--ct", str(tmp_path / "ct1.bin"),
-                   "--key", str(tmp_path / "bad.key"),
-                   "--out", str(tmp_path / "out.bin")) == EXIT_INTEGRITY
+        run("keygen", "--requester", "alice", "--attrs", "Staff",
+            "--out", str(tmp_path / "k.key"))
+        good = (tmp_path / "k.key").read_bytes()
+        for bad in (pack_container(KIND_USK, [b"id", b"{}"]), good[:5] + b"\x09" + good[6:]):
+            (tmp_path / "bad.key").write_bytes(bad)
+            assert run("decrypt", "--ct", str(tmp_path / "ct1.bin"),
+                       "--key", str(tmp_path / "bad.key"),
+                       "--out", str(tmp_path / "out.bin")) == EXIT_INTEGRITY
 
 
 class TestPublishRequest:

@@ -70,11 +70,11 @@ K_BITS = (256).to_bytes(2, "big")
         "mpk-kbits-1B", "msk-kbits-3B"])
 def test_malformed_keys_fail_closed(cls, kind, sections):
     with pytest.raises(MalformedCiphertext):
-        cls.from_bytes(pack_container(kind, 1, sections))
+        cls.from_bytes(pack_container(kind, sections))
 
 
 def test_peel_of_empty_layer_fails_closed(master_pair):
-    ct = LayeredAbeCiphertext(body=pack_container(KIND_LAYER, 1, []),
+    ct = LayeredAbeCiphertext(body=pack_container(KIND_LAYER, []),
                               layer_policies=("A",))
     with pytest.raises(MalformedLayer):
         peel_layers(master_pair.mpk, issue(master_pair, {"A"}), ct, 1)
@@ -86,10 +86,10 @@ def test_peel_of_short_nonce_layer_fails_closed(master_pair):
     ct = hybrid_encrypt(master_pair.mpk, parse_policy("A"), b"payload", make_rng("nonce"))
     layered = add_layers(master_pair.mpk, ct.ct_abe, [parse_policy("C")])
     key = issue(master_pair, {"C"})
-    _, (kem, nonce, sealed) = unpack_container(layered.body, KIND_LAYER, 3)
+    kem, nonce, sealed = unpack_container(layered.body, KIND_LAYER, 3)
     assert peel_layers(master_pair.mpk, key, layered, 1) == ct.ct_abe
     short = LayeredAbeCiphertext(
-        body=pack_container(KIND_LAYER, 1, [kem, nonce[:11], sealed]),
+        body=pack_container(KIND_LAYER, [kem, nonce[:11], sealed]),
         layer_policies=layered.layer_policies)
     with pytest.raises(MalformedLayer):
         peel_layers(master_pair.mpk, key, short, 1)

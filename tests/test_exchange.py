@@ -27,6 +27,7 @@ from mlabe.errors import (
     ERROR_CLASSES,
     EngineUnreachable,
     ExchangeError,
+    MalformedCiphertext,
     NotFound,
     PolicySyntaxError,
     PolicyUnsatisfied,
@@ -44,7 +45,7 @@ from mlabe.exchange.transport import (
     decode_frame,
     encode_frame,
 )
-from mlabe.multilayer import augment_for_engine, update_outer_layers
+from mlabe.multilayer import add_layers, augment_for_engine, update_outer_layers
 from mlabe.policy import TIMESTAMP_ATTRIBUTE, parse_policy
 
 
@@ -268,6 +269,23 @@ class TestPublish:
         with pytest.raises(NotFound):
             owner.publish(b"data", parse_policy("(Staff)"), "nope",
                           deployment.client("internal"))
+
+    def test_ct1_that_carries_a_layer_is_refused(self, deployment):
+        """CT_1 carries zero layers. One with a layer the engine key cannot
+        peel is refused before it is stored, so later updates of its policy
+        still succeed."""
+        ct1 = HybridCiphertext.from_bytes(DataOwner(deployment.mpk, make_rng("do")).encrypt(
+            b"data", parse_policy("(Staff)")))
+        layered = HybridCiphertext(ct_aes=ct1.ct_aes, ct_abe=add_layers(
+            deployment.mpk, ct1.ct_abe, [parse_policy("(C)")]))
+        before = deployment.ct_store.ids()
+        with pytest.raises(MalformedCiphertext, match="zero layers"):
+            deployment.client("internal").request(
+                "POST /publish", {"ct1": layered.to_bytes(), "policy_name": "vc"})
+        assert deployment.ct_store.ids() == before
+        deployment.client("admin", caller="admin").request(
+            "POST /policy", {"name": "vc", "layers": ["(Boss)"]})
+        assert deployment.policy_store.get("vc").version == 2
 
     def test_engine_unreachable_when_connect_fails(self, deployment, monkeypatch):
         """A failed connect raises at once: it is tried exactly once."""

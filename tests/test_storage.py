@@ -443,6 +443,31 @@ class TestSecurityEventLog:
         with pytest.raises(StoreFailure, match="is not an integer"):
             SecurityEventLog(path)
 
+    @pytest.mark.parametrize("tail", [b'{"reason": "y", "t_in', bytes(12)],
+                             ids=["cut-json", "zeros"])
+    def test_record_cuts_a_torn_tail(self, tmp_path, tail):
+        """A writer that died mid-append leaves a last line with no newline;
+        the next record drops it, and every reader sees both incidents."""
+        path = tmp_path / "incidents.log"
+        SecurityEventLog(path).record(5, "x")
+        with open(path, "ab") as handle:
+            handle.write(tail)
+        assert SecurityEventLog(path).record(9, "after the crash") == 9
+        assert SecurityEventLog(path).events == [(5, "x"), (9, "after the crash")]
+
+    def test_record_keeps_a_complete_corrupt_line(self, tmp_path):
+        """Only an unterminated tail is cut: a complete line that does not
+        parse makes record raise and stays on disk."""
+        path = tmp_path / "incidents.log"
+        log = SecurityEventLog(path)
+        log.record(5, "x")
+        with open(path, "ab") as handle:
+            handle.write(bytes(12) + b"\n")
+        damaged = path.read_bytes()
+        with pytest.raises(StoreFailure, match="corrupt"):
+            log.record(9, "y")
+        assert path.read_bytes() == damaged
+
     def test_partial_line_waits_for_its_newline(self, tmp_path):
         path = tmp_path / "incidents.log"
         log = SecurityEventLog(path)

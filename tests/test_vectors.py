@@ -6,7 +6,9 @@ passes both. These digests pin the bytes themselves. Every input comes
 from a fixed ``counter_rng`` seed. The constants were generated from the
 code before the single-parse / single-walk refactor of the layered path
 and must not change under refactoring; a deliberate format change must
-update FORMATS.md and these constants together.
+update FORMATS.md and these constants together. The MSK digest pins the
+bytes a deployment seals in ``master.enc``: if they changed, no existing
+deployment could load its master key.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ PLAINTEXT = b"known-answer payload " * 7
 
 EXPECTED = {
     "mpk": "37f0f765043efa32c0e6a10a478ba64e5f272e9314d148213f51b08202c4dd4d",
+    "msk": "8d47d7d031699c78b9adbcce5e97a32381abf2f5e4976c283a0abb9a1a5f1881",
     "usk": "f54d20f19b4c8ac62e0add854bbe36ef7d425681d93a3bad41d98177e92f5cfe",
     "ct1": "50d2dd52911e42096e5d0b755562d71af6fa6847b320af0930583f519728dfaf",
     "ct3": "076b096566542ed9686a02bfddbf1cf1335236e833890fd98e1c218162b21995",
@@ -41,7 +44,7 @@ def _sha256(data: bytes) -> str:
 
 @pytest.fixture(scope="module")
 def vectors():
-    pair = setup(256, make_rng("kat-master"))
+    pair = setup(make_rng("kat-master"))
     attrs = AttributeSet({"D", "E", "G", "H"}, {TIMESTAMP_ATTRIBUTE: 900})
     usk = keygen(pair.msk, attrs, make_rng("kat-key")(32))
     ct1 = hybrid_encrypt(pair.mpk, parse_policy(BASE_POLICY), PLAINTEXT,
@@ -55,7 +58,7 @@ def vectors():
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_digest(vectors, name):
-    obj = vectors["pair"].mpk if name == "mpk" else vectors[name]
+    obj = getattr(vectors["pair"], name) if name in ("mpk", "msk") else vectors[name]
     assert _sha256(obj.to_bytes()) == EXPECTED[name]
 
 
