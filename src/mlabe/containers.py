@@ -79,15 +79,22 @@ def pack_container(kind: int, sections: list[bytes]) -> bytes:
     return bytes(out)
 
 
-def unpack_container(data: bytes, kind: int, count: int | None = None) -> list[bytes]:
-    """The sections of an ``MLAB`` container of the given kind, exactly
-    ``count`` of them when given; raises MalformedCiphertext."""
+def _abe_header(data: bytes) -> tuple[int, int]:
+    """The kind and section count of an ``MLAB`` container whose magic,
+    version byte and id byte are right; raises MalformedCiphertext."""
     _check_prefix(data, MAGIC_ABE)
-    version, backend, found_kind, n_sections = struct.unpack_from(">BBBH", data, 4)
+    version, backend, kind, n_sections = struct.unpack_from(">BBBH", data, 4)
     if version != FORMAT_VERSION:
         raise MalformedCiphertext(f"unsupported format version {version}")
     if backend != DEV_BACKEND_ID:
         raise MalformedCiphertext(f"unknown backend id {backend}")
+    return kind, n_sections
+
+
+def unpack_container(data: bytes, kind: int, count: int | None = None) -> list[bytes]:
+    """The sections of an ``MLAB`` container of the given kind, exactly
+    ``count`` of them when given; raises MalformedCiphertext."""
+    found_kind, n_sections = _abe_header(data)
     sections = _read_sections(data, 9, n_sections)
     if found_kind != kind:
         raise MalformedCiphertext(
@@ -100,8 +107,9 @@ def unpack_container(data: bytes, kind: int, count: int | None = None) -> list[b
 
 
 def container_kind(data: bytes) -> int:
-    _check_prefix(data, MAGIC_ABE)
-    return data[6]
+    """The kind byte of an ``MLAB`` container, checked as far as
+    `_abe_header` checks it."""
+    return _abe_header(data)[0]
 
 
 # ---------------------------------------------------------------------------

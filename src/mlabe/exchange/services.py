@@ -244,9 +244,9 @@ class InternalCtEngine:
         ones and only the rest is replaced, with the bytes of a full
         re-layer; a record whose layers all match only takes the version.
 
-        The replacements are group-committed when the pass lock is
-        released: every one is fsynced, then each is renamed over its
-        record, before this returns. If the pass fails part-way, the
+        The replacements stream into one rewrite of the policy's segment,
+        which is fsynced and renamed over it when the pass lock is
+        released, before this returns. If the pass fails part-way, the
         records re-layered before the failure are committed and the error
         propagates.
         """

@@ -1,49 +1,53 @@
 """Persistent stores for the exchange roles.
 
-Everything is file-backed with write-temp-then-rename updates, so a crash
-mid-write leaves either the old or the new record, never a hybrid. Each
-write goes through its own temporary file, so writers sharing a directory
-never write into one another's file. Every write is a group commit
-(``_GroupCommit``), in three steps:
+Configuration, policy definitions and keys are files replaced whole by
+``atomic_write``: write a fresh temporary file beside the target, fsync
+it, rename it over the target, then fsync the directory. A crash leaves
+the old or the new file, never a hybrid, and writers sharing a directory
+never write into one another's temporary file.
 
-1. stage: write each replacement to a fresh temporary file beside its
-   target and close it unsynced;
-2. fsync each staged file;
-3. rename each staged file over its target, in the order staged;
-4. fsync each directory the renames changed, once per directory, so the
-   renames themselves are on disk when the commit returns.
+Ciphertext records live in one append-only segment per policy,
+``ct/<P>.json``, where P is the policy name encoded as ``PolicyStore``
+names its files. Each entry is a u32 length, then a frame body as the
+transport writes it (``encode_frame``; PROTOCOL.md, "Frame format
+(version 2)") without the frame length: a JSON header of the seven
+metadata fields, then the container bytes, raw, as section 0. The
+suffix stays ``.json`` because the served benchmark sizes the store from
+``ct/*.json``, as it did the one-file-per-record layout before. A record
+file of an earlier layout raises ``StoreFailure``: there is no
+migration; republish such a data directory.
 
-A single write (``atomic_write``) is a group of one. A re-layer pass is
-one group: its records are fsynced back to back and renamed when the
-pass ends. Each rename is atomic, so a reader, which takes no lock, sees
-either the old or the new record, both whole and digest-verified.
+- **Publish** (``put_new``) takes the segment's exclusive ``flock``,
+  cuts an unterminated tail that a dead writer left, appends one entry
+  and ``fdatasync``s it.
+- **Re-layer pass.** The engine's pass scans the records of one policy
+  (``by_policy``) and rewrites only those whose ``policy_version`` is
+  below the policy's current version. It holds an exclusive ``flock``
+  on ``.relayer.lock`` (``CtStore.pass_lock``), so passes run one at a
+  time across every process and thread sharing the directory.
+  ``CtStore.update`` derives each replacement from the copy the scan
+  has just read and verified, and streams it into one temporary file
+  per segment. When the pass ends, it takes the segment's flock, copies
+  every entry it did not replace (the current records, and those
+  appended since its scan), fsyncs the file, renames it over the
+  segment and fsyncs the directory: one create, one file fsync and one
+  directory fsync per pass, whatever the number of records. The rewrite
+  is also the compaction: only the last entry of each record survives.
+- **Reads** take no lock. ``get`` reads through an index of record id to
+  segment offset that, like ``SecurityEventLog``, parses only the bytes
+  appended since the last read, starts over when the segment's inode
+  changes, and rescans the directory before raising ``NotFound``. A
+  segment file is only ever appended to or replaced whole by rename, so
+  a reader sees each record before or after a pass, whole and
+  digest-verified.
 
-A ciphertext record, ``<id>.json``, is a frame body as the transport
-writes it (``encode_frame``; PROTOCOL.md, "Frame format (version 2)")
-without the frame length: a JSON header of the seven metadata fields,
-then the container bytes, raw, as section 0. The suffix stays ``.json``
-because ``ids`` and the served benchmark's store size list ``*.json``.
-A file that does not decode to a record raises ``StoreFailure``, as does
-a record in the earlier layout (one JSON object, the container in
-base64): there is no migration; republish such a data directory. So does
-a file whose header names another record than its path.
 Records are content-addressed by the hash of the container bytes at
 publication; that id stays the record's stable handle across policy
 updates, while a separate digest always tracks the current bytes and is
-verified on every read.
-
-The engine's re-layer pass scans the records of one policy
-(``by_policy``) and rewrites only those whose ``policy_version`` is below
-the policy's current version. ``CtStore.update`` derives the replacement
-from the copy the scan has just read and verified, and stages it without
-reading the file again. A pass holds an exclusive ``flock`` on
-``.relayer.lock`` in the record directory (``CtStore.pass_lock``), so
-passes run one at a time across every process and thread sharing the
-directory, and no newer version can land in between. ``pass_lock``
-yields the pass's group commit, and ``update`` stages into it: a record
-is only ever replaced inside a pass. Policy definitions
-and incident appends hold the same kind of lock (``_exclusive``) across
-their read-modify-write.
+verified on every read, as is the id the entry names. An entry whose
+header names another policy than its segment raises ``StoreFailure``.
+Policy definitions and incident appends hold the same kind of lock
+(``_exclusive``) across their read-modify-write.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import fcntl
 import hashlib
 import json
 import os
+import struct
 import tempfile
 import threading
 import time
@@ -117,65 +122,42 @@ def _fsync(path: str | Path) -> None:
         os.close(fd)
 
 
-class _GroupCommit:
-    """Replacement files staged beside their targets, then made durable
-    and visible together.
-
-    ``stage`` writes each replacement to a fresh temporary file and closes
-    it unsynced, so no descriptor is held per staged file. ``commit``
-    fsyncs every staged file, renames each over its target in the order
-    staged, then fsyncs each distinct target directory once. A file whose
-    write failed is never staged, and a staged file that was not renamed
-    is removed.
-    """
-
-    def __init__(self) -> None:
-        self._staged: list[tuple[str, Path]] = []
-
-    def stage(self, path: Path, data: bytes) -> None:
-        try:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                                       suffix=".tmp")
-            try:
-                with open(fd, "wb") as handle:
-                    handle.write(data)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
-        except OSError as exc:
-            raise StoreFailure(f"write to {path} failed: {exc}") from exc
-        self._staged.append((tmp, path))
-
-    def commit(self) -> None:
-        staged, self._staged = self._staged, []
-        renamed = 0
-        try:
-            for tmp, path in staged:
-                _fsync(tmp)
-            for tmp, path in staged:
-                os.replace(tmp, path)
-                renamed += 1
-            for path in dict.fromkeys(target.parent for _, target in staged):
-                _fsync(path)
-        except OSError as exc:
-            raise StoreFailure(f"write to {path} failed: {exc}") from exc
-        finally:
-            for tmp, _ in staged[renamed:]:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
+def _install(out: BinaryIO, tmp: str, path: Path) -> None:
+    """Make the temporary file `tmp`, open as `out`, durable, rename it
+    over `path`, then fsync the directory so the rename is on disk too."""
+    out.flush()
+    os.fsync(out.fileno())
+    os.replace(tmp, path)
+    _fsync(path.parent)
 
 
 def atomic_write(path: Path, data: bytes) -> None:
-    """Durably replace the file at `path` with `data`: a group commit of
-    one file."""
-    group = _GroupCommit()
-    group.stage(path, data)
-    group.commit()
+    """Durably replace the file at `path` with `data`, through a fresh
+    temporary file beside it that is removed if it was not renamed."""
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                   suffix=".tmp")
+        with open(fd, "wb") as out:
+            out.write(data)
+            _install(out, tmp, path)
+        tmp = None
+    except OSError as exc:
+        raise StoreFailure(f"write to {path} failed: {exc}") from exc
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def content_id(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _file_name(name: str) -> str:
+    """The file of a named policy's definition or records: the name's
+    UTF-8 as unpadded URL-safe base64, plus ``.json``."""
+    return base64.urlsafe_b64encode(name.encode("utf-8")).decode("ascii").rstrip("=") + ".json"
 
 
 def _check_types(obj: dict, types: dict[str, Any]) -> None:
@@ -220,21 +202,169 @@ _RECORD_TYPES = {"id": str, "ct": bytes, "n_layers": int, "created_at": int,
                  "updated_at": int, "policy_name": str, "policy_version": int,
                  "content_digest": str}
 
+_U32 = struct.Struct(">I")
+
+
+@contextlib.contextmanager
+def _locked_segment(path: Path) -> Iterator[BinaryIO]:
+    """Hold the exclusive ``flock`` of the segment at `path`, created if
+    missing and opened for reading and appending, for the block.
+
+    A pass renames its rewrite over the segment while it holds the old
+    file's flock. A writer that waited for that flock holds a file no
+    longer at `path`, and its append would be lost, so it reopens until
+    the file it holds is the one at `path`.
+    """
+    while True:
+        with open(path, "a+b") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            if os.stat(path).st_ino == os.fstat(handle.fileno()).st_ino:
+                yield handle
+                return
+
+
+@dataclass
+class _Segment:
+    """What a store has indexed of one segment file: its inode, the bytes
+    of whole entries parsed, and the offset of each record's last entry."""
+
+    inode: int
+    end: int = 0
+    entries: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass
+class _Rewrite:
+    """A pass's temporary file for one segment, as far as it is written:
+    the replacement entries by record id at their offsets in it, and for
+    each the offset in the segment of the entry it replaces."""
+
+    tmp: str
+    out: BinaryIO
+    end: int = 0
+    entries: dict[str, int] = field(default_factory=dict)
+    replaces: dict[str, int] = field(default_factory=dict)
+
+    def append(self, record_id: str, entry: bytes) -> None:
+        self.out.write(_U32.pack(len(entry)))
+        self.out.write(entry)
+        self.entries[record_id] = self.end
+        self.end += _U32.size + len(entry)
+
+
+class _Pass:
+    """The segment rewrites of one re-layer pass, created on first use;
+    ``pass_lock`` closes their files and commits them."""
+
+    def __init__(self, root: Path, files: contextlib.ExitStack):
+        self._root = root
+        self._files = files
+        self.rewrites: dict[Path, _Rewrite] = {}
+
+    def rewrite(self, path: Path) -> _Rewrite:
+        if path not in self.rewrites:
+            fd, tmp = tempfile.mkstemp(dir=self._root, prefix=path.name + ".",
+                                       suffix=".tmp")
+            self.rewrites[path] = _Rewrite(tmp, self._files.enter_context(open(fd, "wb")))
+        return self.rewrites[path]
+
+    def discard(self, path: Path) -> None:
+        """Drop the rewrite of `path`, whose file may hold part of an entry."""
+        rewrite = self.rewrites.pop(path, None)
+        if rewrite is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(rewrite.tmp)
+
 
 class CtStore:
-    """Content-addressed ciphertext records, each replaced whole by rename."""
+    """Content-addressed ciphertext records in one append-only segment
+    per policy, read through an index of record id to segment offset."""
 
     def __init__(self, root: Path):
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()  # guards the index below
+        self._segments: dict[Path, _Segment] = {}
+        self._where: dict[str, Path] = {}  # record id -> its segment
 
-    def _path(self, record_id: str) -> Path:
-        if not record_id or any(c not in "0123456789abcdef" for c in record_id):
-            raise NotFound(f"no such ciphertext record: {record_id!r}")
-        return self._root / f"{record_id}.json"
+    def _segment_path(self, policy_name: str) -> Path:
+        return self._root / _file_name(policy_name)
+
+    def _refresh(self, path: Path, handle: BinaryIO) -> _Segment:
+        """Index the whole entries appended to the segment open as `handle`
+        since the last read, and return its index; hold _lock.
+
+        A file with another inode than the one indexed (a pass rewrote
+        it), or one shorter than what was indexed, is indexed from its
+        start. An unterminated last entry (fewer bytes than its length
+        says, or zeros) is a torn tail: it is skipped, and the offset
+        stays at the end of the whole entries before it. Other damage
+        raises StoreFailure and leaves the offset there too, so every
+        later read raises again.
+        """
+        st = os.fstat(handle.fileno())
+        segment = self._segments.get(path)
+        if segment is None or segment.inode != st.st_ino or st.st_size < segment.end:
+            segment = self._segments[path] = _Segment(st.st_ino)
+        offset = segment.end
+        while st.st_size - offset >= _U32.size:
+            handle.seek(offset)
+            head = handle.read(2 * _U32.size)
+            if offset == 0 and b"{" in (head[:1], head[4:5]):
+                raise StoreFailure(
+                    f"segment {path} corrupt: it is a record file of an earlier "
+                    "layout, which this store does not read; republish the data directory")
+            (length,) = _U32.unpack_from(head)
+            if length == 0 or offset + _U32.size + length > st.st_size:
+                break
+            record_id, policy_name = self._entry_identity(path, handle, head, length, offset)
+            if type(policy_name) is not str or _file_name(policy_name) != path.name:
+                raise StoreFailure(f"record {record_id} corrupt: its entry at byte "
+                                   f"{offset} of {path} names policy {policy_name!r}")
+            if self._where.setdefault(record_id, path) != path:
+                raise StoreFailure(f"record {record_id} corrupt: stored in "
+                                   f"{self._where[record_id]} and {path}")
+            segment.entries[record_id] = offset
+            offset = segment.end = offset + _U32.size + length
+        return segment
+
+    @staticmethod
+    def _entry_identity(path: Path, handle: BinaryIO, head: bytes, length: int,
+                        offset: int) -> tuple[str, Any]:
+        """The record id and policy name that the header of the entry at
+        `offset` names, its first 8 bytes being `head`."""
+        try:
+            (header_len,) = _U32.unpack_from(head, _U32.size)
+            if _U32.size + header_len > length:
+                raise ValueError("frame header runs past the entry end")
+            header = json.loads(handle.read(header_len))
+            if type(header) is not dict or type(header.get("id")) is not str:
+                raise ValueError("frame header names no record id")
+            return header["id"], header.get("policy_name")
+        except (ValueError, struct.error, RecursionError) as exc:
+            raise StoreFailure(f"segment {path} corrupt at byte {offset}: {exc!r}") from exc
+
+    def _rescan(self) -> None:
+        """Index every segment in the directory up to its end; a segment
+        whose inode and size show nothing new is not opened."""
+        with os.scandir(self._root) as found:
+            for entry in found:
+                if not entry.name.endswith(".json"):
+                    continue
+                path, st = Path(entry.path), entry.stat()
+                segment = self._segments.get(path)
+                if segment is None or (segment.inode, segment.end) != (st.st_ino, st.st_size):
+                    with open(path, "rb") as handle, self._lock:
+                        self._refresh(path, handle)
 
     def put_new(self, ct: bytes, n_layers: int, policy_name: str,
                 policy_version: int, clock: LogicalClock) -> CtRecord:
+        """Append a record to its policy's segment and ``fdatasync`` it.
+
+        Under the segment's flock, a torn tail that a dead writer left is
+        cut before the append. A record id stored under another policy is
+        refused: each id lives in one segment.
+        """
         record_id = content_id(ct)
         now = clock.now()
         record = CtRecord(
@@ -243,17 +373,39 @@ class CtStore:
             policy_name=policy_name, policy_version=policy_version,
             content_digest=record_id,
         )
-        atomic_write(self._path(record_id), record.to_bytes())
+        path = self._segment_path(policy_name)
+        self._rescan()
+        if self._where.get(record_id, path) != path:
+            raise StoreFailure(f"record {record_id} is stored under another policy")
+        entry = record.to_bytes()
+        try:
+            with _locked_segment(path) as handle:
+                with self._lock:
+                    segment = self._refresh(path, handle)
+                end = segment.end
+                if handle.seek(0, os.SEEK_END) > end:
+                    handle.truncate(end)
+                handle.write(_U32.pack(len(entry)) + entry)
+                handle.flush()
+                os.fdatasync(handle.fileno())
+                if end == 0:
+                    _fsync(self._root)  # the segment may be new: sync its name
+                with self._lock:  # the flock keeps `segment` this file's index
+                    segment.entries[record_id] = end
+                    segment.end = max(segment.end, end + _U32.size + len(entry))
+                    self._where[record_id] = path
+        except OSError as exc:
+            raise StoreFailure(f"write to {path} failed: {exc}") from exc
         return record
 
-    def update(self, group: _GroupCommit, record: CtRecord, ct: bytes,
+    def update(self, group: _Pass, record: CtRecord, ct: bytes,
                n_layers: int, policy_version: int,
                clock: LogicalClock) -> CtRecord:
-        """Stage the replacement of `record`, as just read through `get`,
-        into `group`, the group commit ``pass_lock`` yielded.
+        """Stream the replacement of `record`, as just read through `get`,
+        into `group`, the pass that ``pass_lock`` yielded.
 
-        The file is not read again: the pass lock serializes updates of a
-        record, so `record` is still its stored state. `record` is not
+        The segment is not read again: the pass lock serializes updates of
+        a record, so `record` is still its stored state. `record` is not
         mutated. The replacement is durable and visible once the pass's
         block ends.
         """
@@ -261,19 +413,61 @@ class CtStore:
             record, ct=ct, n_layers=n_layers, policy_version=policy_version,
             content_digest=content_id(ct),
             updated_at=max(clock.now(), record.updated_at))
-        group.stage(self._path(record.id), updated.to_bytes())
+        path = self._segment_path(record.policy_name)
+        with self._lock:
+            replaced = self._segments[path].entries[record.id]
+        try:
+            rewrite = group.rewrite(path)
+            rewrite.append(record.id, updated.to_bytes())
+        except OSError as exc:
+            group.discard(path)
+            raise StoreFailure(f"rewrite of {path} failed: {exc}") from exc
+        rewrite.replaces[record.id] = replaced
         return updated
 
-    def get(self, record_id: str) -> CtRecord:
+    def _commit(self, path: Path, rewrite: _Rewrite) -> None:
+        """Under the segment's flock, copy into `rewrite` every entry the
+        pass does not replace (the records it left alone, and those
+        appended since it read them), then rename it over the segment."""
         try:
-            data = self._path(record_id).read_bytes()
-        except FileNotFoundError:
-            raise NotFound(f"no such ciphertext record: {record_id}") from None
+            with _locked_segment(path) as handle:
+                with self._lock:
+                    kept = sorted(self._refresh(path, handle).entries.items(),
+                                  key=lambda item: item[1])
+                for record_id, offset in kept:
+                    if rewrite.replaces.get(record_id, -1) < offset:
+                        handle.seek(offset)
+                        (length,) = _U32.unpack(handle.read(_U32.size))
+                        rewrite.append(record_id, handle.read(length))
+                _install(rewrite.out, rewrite.tmp, path)
+                inode = os.fstat(rewrite.out.fileno()).st_ino
+                with self._lock:
+                    self._segments[path] = _Segment(inode, rewrite.end, rewrite.entries)
+        except OSError as exc:
+            raise StoreFailure(f"rewrite of {path} failed: {exc}") from exc
+
+    def get(self, record_id: str) -> CtRecord:
+        if type(record_id) is not str:
+            raise NotFound(f"no such ciphertext record: {record_id!r}")
+        path = self._where.get(record_id)
+        if path is None:
+            self._rescan()
+            path = self._where.get(record_id)
+            if path is None:
+                raise NotFound(f"no such ciphertext record: {record_id}")
+        with open(path, "rb") as handle:
+            with self._lock:
+                offset = self._refresh(path, handle).entries.get(record_id)
+            if offset is None:
+                raise NotFound(f"no such ciphertext record: {record_id}")
+            handle.seek(offset)
+            (length,) = _U32.unpack(handle.read(_U32.size))
+            data = handle.read(length)
         try:
             record = CtRecord.from_bytes(data)
             _check_types(vars(record), _RECORD_TYPES)
             if record.id != record_id:
-                raise ValueError(f"file holds record {record.id}")
+                raise ValueError(f"entry holds record {record.id}")
             intact = content_id(record.ct) == record.content_digest
         except (ValueError, TypeError) as exc:
             raise StoreFailure(f"record {record_id} corrupt: {exc!r}") from exc
@@ -282,25 +476,37 @@ class CtStore:
         return record
 
     @contextlib.contextmanager
-    def pass_lock(self) -> Iterator[_GroupCommit]:
+    def pass_lock(self) -> Iterator[_Pass]:
         """Hold the exclusive re-layer lock for the duration of the block,
-        and yield the group commit that the block's ``update`` calls stage
-        into; it commits when the block ends.
+        and yield the pass that the block's ``update`` calls stream into;
+        it commits when the block ends.
 
-        The lock file's name does not end in ``.json``, so ``ids`` never
-        lists it. The commit runs under the lock, also when the block
-        raises: what was staged before the error becomes durable and
-        visible, then the error propagates.
+        Only passes stage files in the record directory, always under this
+        lock, so a ``*.tmp`` file found on entry is a killed pass's and is
+        removed. The lock file's name does not end in ``.json``, so ``ids``
+        never reads it. The commit runs under the lock, also when the
+        block raises: what was streamed before the error becomes durable
+        and visible, then the error propagates.
         """
-        with _exclusive(self._root / ".relayer.lock"):
-            group = _GroupCommit()
+        with _exclusive(self._root / ".relayer.lock"), contextlib.ExitStack() as files:
+            for stray in self._root.glob("*.tmp"):
+                stray.unlink(missing_ok=True)
+            group = _Pass(self._root, files)
             try:
                 yield group
             finally:
-                group.commit()
+                try:
+                    for path, rewrite in group.rewrites.items():
+                        self._commit(path, rewrite)
+                finally:
+                    for rewrite in group.rewrites.values():
+                        with contextlib.suppress(FileNotFoundError):
+                            os.unlink(rewrite.tmp)
 
     def ids(self) -> list[str]:
-        return sorted(p.stem for p in self._root.glob("*.json"))
+        self._rescan()
+        with self._lock:
+            return sorted(self._where)
 
     def by_policy(self, policy_name: str) -> list[CtRecord]:
         return [r for r in (self.get(i) for i in self.ids())
@@ -335,8 +541,7 @@ class PolicyStore:
         self._root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, name: str) -> Path:
-        safe = base64.urlsafe_b64encode(name.encode("utf-8")).decode("ascii").rstrip("=")
-        return self._root / f"{safe}.json"
+        return self._root / _file_name(name)
 
     def define(self, name: str, layers: list[str], clock: LogicalClock) -> PolicyRecord:
         with _exclusive(self._root / ".define.lock"):

@@ -177,3 +177,25 @@ def _iter_strings(obj):
     elif isinstance(obj, list):
         for v in obj:
             yield from _iter_strings(v)
+
+
+# ---------------------------------------------------------------------------
+# Record segments
+# ---------------------------------------------------------------------------
+
+def segment(*bodies: bytes) -> bytes:
+    """A record segment holding the given frame bodies, each as an entry:
+    a u32 length, then the body."""
+    return b"".join(struct.pack(">I", len(body)) + body for body in bodies)
+
+
+def segment_entries(data: bytes) -> list[bytes]:
+    """The frame bodies of the whole entries of a record segment."""
+    bodies, offset = [], 0
+    while offset + 4 <= len(data):
+        (length,) = struct.unpack_from(">I", data, offset)
+        if length == 0 or offset + 4 + length > len(data):
+            break
+        bodies.append(data[offset + 4:offset + 4 + length])
+        offset += 4 + length
+    return bodies

@@ -54,6 +54,25 @@ def test_sweep_truncations_and_trailing_byte(samples, cls):
         cls.from_bytes(data + b"\x00")
 
 
+@pytest.mark.parametrize("n_layers", [0, 1])
+@pytest.mark.parametrize("byte,value,error", [(4, 7, "format version 7"),
+                                              (5, 9, "backend id 9")],
+                         ids=["version", "id"])
+def test_layered_body_with_a_wrong_version_or_id_byte_is_refused(
+        master_pair, n_layers, byte, value, error):
+    """The outermost body of a layered ciphertext is refused when it is
+    parsed, not when it is peeled, if its version byte or its id byte is
+    wrong, as it already was for a wrong kind byte."""
+    ct = hybrid_encrypt(master_pair.mpk, parse_policy("A"), b"payload", make_rng("bytes"))
+    layered = add_layers(master_pair.mpk, ct.ct_abe, [parse_policy("C")]) if n_layers else ct.ct_abe
+    body = bytearray(layered.body)
+    body[byte] = value
+    data = LayeredAbeCiphertext(body=bytes(body),
+                                layer_policies=layered.layer_policies).to_bytes()
+    with pytest.raises(MalformedCiphertext, match=error):
+        LayeredAbeCiphertext.from_bytes(data)
+
+
 K_BITS = (256).to_bytes(2, "big")
 
 

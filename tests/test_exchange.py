@@ -19,7 +19,7 @@ from contextlib import ExitStack
 
 import pytest
 
-from support import frames_contain_secret, make_rng
+from support import frames_contain_secret, make_rng, segment, segment_entries
 
 from mlabe.abe import MasterPublicKey
 from mlabe.containers import HybridCiphertext
@@ -440,6 +440,8 @@ class TestPolicyUpdate:
                           deployment.client("internal"))
         deployment.admin.update_policy("admin", "vc", ["(Boss)"])
         before = {i: deployment.ct_store.get(i) for i in deployment.ct_store.ids()}
+        ct_dir = deployment.data_dir / "ct"
+        files_before = {p.name: (p.stat().st_ino, p.read_bytes()) for p in ct_dir.iterdir()}
 
         writes: list = []
         real_write = storage.atomic_write
@@ -449,6 +451,7 @@ class TestPolicyUpdate:
         assert deployment.client("internal").request(
             "POST /notify", {"policy_name": "vc"}) == {"updated": []}
         assert writes == []
+        assert {p.name: (p.stat().st_ino, p.read_bytes()) for p in ct_dir.iterdir()} == files_before
         assert {i: deployment.ct_store.get(i) for i in before} == before
 
     def test_notify_finishes_a_partial_pass(self, deployment, monkeypatch):
@@ -490,10 +493,11 @@ class TestPolicyUpdate:
         deployment.policy_store.define("vc", ["(Boss)"], deployment.clock)
         return deployment.ct_store.ids()
 
-    def test_pass_fsyncs_each_record_once_and_leaves_no_temp_files(
+    def test_pass_fsyncs_one_file_and_the_directory_and_leaves_no_temp_files(
             self, deployment, monkeypatch):
-        """Each re-layered record is fsynced once, then the record
-        directory once, after the renames."""
+        """A pass writes its re-layered records into one rewrite of their
+        segment, fsyncs that file once, renames it, then fsyncs the record
+        directory once."""
         import os
         import stat
 
@@ -506,13 +510,14 @@ class TestPolicyUpdate:
             real_fsync(fd)
         monkeypatch.setattr(os, "fsync", recording_fsync)
         assert deployment.internal.on_policy_update("vc") == ids
-        assert fsyncs == ["file"] * len(ids) + ["dir"]
+        assert fsyncs == ["file", "dir"]
         assert [deployment.ct_store.get(i).policy_version for i in ids] == [2, 2, 2]
         assert list((deployment.data_dir / "ct").glob("*.tmp")) == []
 
     def test_fsync_failure_at_commit_keeps_every_record_old(self, deployment, monkeypatch):
-        """A pass whose commit cannot fsync renames nothing and removes its
-        staged files; the next notification re-layers every record."""
+        """A pass whose commit cannot fsync its rewrite of the segment does
+        not rename it and removes it; the next notification re-layers every
+        record."""
         import os
 
         ids = self._three_records_behind(deployment)
@@ -531,6 +536,86 @@ class TestPolicyUpdate:
             "POST /notify", {"policy_name": "vc"})
         assert result == {"updated": ids}
         assert [deployment.ct_store.get(i).policy_version for i in ids] == [2, 2, 2]
+
+    @staticmethod
+    def _second_deployment(deployment) -> Deployment:
+        return Deployment(deployment.data_dir, "operator-secret",
+                          clock=ManualClock(1_000), rng=make_rng("second"))
+
+    def test_pass_removes_a_killed_pass_temp_file_and_keeps_a_racing_publish(
+            self, deployment, monkeypatch):
+        """A pass first removes the temporary file a killed pass left in the
+        record directory. A publish from a second deployment while the pass
+        re-layers lands in the segment after the pass read it, and the
+        pass's rewrite keeps it."""
+        import mlabe.exchange.services as services
+
+        ids = self._three_records_behind(deployment)
+        ct_dir = deployment.data_dir / "ct"
+        (segment_path,) = ct_dir.glob("*.json")
+        stray = ct_dir / f"{segment_path.name}.killed.tmp"
+        stray.write_bytes(b"half a rewrite")
+        second = self._second_deployment(deployment)
+        owner = DataOwner(deployment.mpk, make_rng("racer"))
+        raced: list[str] = []
+        real_update = services.update_outer_layers
+
+        def update_racing_publish(*args, **kwargs):
+            if not raced:
+                assert not stray.exists()
+                raced.append(owner.publish(b"raced", parse_policy("(Staff)"), "vc",
+                                           second.client("internal")))
+            return real_update(*args, **kwargs)
+        monkeypatch.setattr(services, "update_outer_layers", update_racing_publish)
+        assert deployment.internal.on_policy_update("vc") == ids
+        assert list(ct_dir.glob("*.tmp")) == []
+        assert len(raced) == 1 and raced[0] not in ids
+        for dep in (deployment, second, self._second_deployment(deployment)):
+            assert [dep.ct_store.get(i).policy_version for i in ids + raced] == [2] * 4
+
+    def test_publish_waiting_on_a_pass_rename_keeps_its_record(
+            self, deployment, monkeypatch):
+        """A publish from a second deployment that opens the segment while a
+        pass holds its flock, held just before the pass renames its rewrite
+        over it, appends to the rewritten segment, not to the replaced one."""
+        import fcntl
+        import os
+
+        ids = self._three_records_behind(deployment)
+        second = self._second_deployment(deployment)
+        owner = DataOwner(deployment.mpk, make_rng("racer"))
+        renaming, flocking = threading.Event(), threading.Event()
+        published: list[str] = []
+        real_replace, real_flock = os.replace, fcntl.flock
+
+        def held_replace(src, dst):
+            if threading.current_thread() is pass_thread:
+                renaming.set()
+                flocking.wait(timeout=10)
+            real_replace(src, dst)
+
+        def signalling_flock(fd, operation):
+            if threading.current_thread() is publish_thread:
+                flocking.set()  # the publish holds the segment and waits for its flock
+            real_flock(fd, operation)
+
+        pass_thread = threading.Thread(
+            target=deployment.internal.on_policy_update, args=("vc",))
+        publish_thread = threading.Thread(target=lambda: published.append(owner.publish(
+            b"raced", parse_policy("(Staff)"), "vc", second.client("internal"))))
+        monkeypatch.setattr(os, "replace", held_replace)
+        monkeypatch.setattr(fcntl, "flock", signalling_flock)
+        pass_thread.start()
+        assert renaming.wait(timeout=10)
+        publish_thread.start()
+        for thread in (pass_thread, publish_thread):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        monkeypatch.undo()
+        assert flocking.is_set()
+        assert len(published) == 1 and published[0] not in ids
+        for dep in (deployment, second, self._second_deployment(deployment)):
+            assert [dep.ct_store.get(i).policy_version for i in ids + published] == [2] * 4
 
     def test_publish_racing_an_update_ends_current(self, deployment, monkeypatch):
         """An update that lands while a publish adds its layers leaves the
@@ -643,20 +728,25 @@ class TestDamagedStoreFiles:
         owner = DataOwner(deployment.mpk, make_rng("do"))
         record_id = owner.publish(b"data", parse_policy("(Staff)"), "vc",
                                   deployment.client("internal"))
-        path = deployment.data_dir / "ct" / f"{record_id}.json"
-        path.write_bytes(encode_frame(dict(decode_frame(path.read_bytes()),
-                                           policy_version="1")))
+        (path,) = (deployment.data_dir / "ct").glob("*.json")
+        (entry,) = segment_entries(path.read_bytes())
+        path.write_bytes(segment(encode_frame(dict(decode_frame(entry),
+                                                   policy_version="1"))))
         with pytest.raises(StoreFailure, match=f"record {record_id} corrupt"):
             deployment.client("admin", caller="admin").request(
                 "POST /policy", {"name": "vc", "layers": ["(Boss)"]})
 
     def test_record_copied_over_another_is_refused(self, deployment):
+        """The entry of one record copied over another's, in place in their
+        segment, fails the identity check of reads of the other."""
         owner = DataOwner(deployment.mpk, make_rng("do"))
         first, second = (owner.publish(data, parse_policy("(Staff)"), "vc",
                                        deployment.client("internal"))
-                         for data in (b"first", b"second"))
-        ct_dir = deployment.data_dir / "ct"
-        shutil.copyfile(ct_dir / f"{first}.json", ct_dir / f"{second}.json")
+                         for data in (b"first!", b"second"))
+        (path,) = (deployment.data_dir / "ct").glob("*.json")
+        entries = segment_entries(path.read_bytes())
+        assert len(entries[0]) == len(entries[1])
+        path.write_bytes(segment(entries[0], entries[0]))
         with pytest.raises(StoreFailure, match=f"record {second} corrupt"):
             deployment.client("external").request("GET /ct/{id}", {"id": second})
         with pytest.raises(StoreFailure, match=f"record {second} corrupt"):
@@ -677,6 +767,12 @@ class TestDamagedStoreFiles:
 
 
 class TestTimeGate:
+    @pytest.mark.parametrize("record_id", [5, ["ab"], "", "../config"],
+                             ids=["integer", "list", "empty", "path"])
+    def test_fetch_of_an_id_that_names_no_record_is_not_found(self, deployment, record_id):
+        with pytest.raises(NotFound):
+            deployment.client("external").request("GET /ct/{id}", {"id": record_id})
+
     def test_no_incident_means_any_key_passes(self, deployment):
         assert deployment.external.time_gate_policy().canonical() == "(T_SK > 0)"
 
@@ -1085,8 +1181,9 @@ class TestWire:
             recovered = Consumer(deployment.mpk, key).fetch_and_decrypt(
                 record_id, served.client("external", caller="alice"))
         assert recovered == plaintext
-        stored = [("store", path.read_bytes())
-                  for path in (deployment.data_dir / "ct").glob("*.json")]
+        stored = [("store", entry)
+                  for path in (deployment.data_dir / "ct").glob("*.json")
+                  for entry in segment_entries(path.read_bytes())]
         assert len(stored) == 1
         sealed = HybridCiphertext.from_bytes(deployment.ct_store.get(record_id).ct).ct_aes.body
         assert frames_contain_secret(stored, sealed[:64])

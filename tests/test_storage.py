@@ -8,10 +8,13 @@ import json
 import os
 import re
 import stat
+import sys
 import threading
 import time
 
 import pytest
+
+from support import segment, segment_entries
 
 from mlabe.errors import NotFound, StoreFailure
 from mlabe.exchange import storage
@@ -27,6 +30,13 @@ from mlabe.exchange.storage import (
     content_id,
 )
 from mlabe.exchange.transport import decode_frame, encode_frame
+
+
+def _replace(path, data: bytes) -> None:
+    """Put `data` at `path` as a new file, as a pass's rename does."""
+    tmp = path.with_name(path.name + ".new")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 class TestCtStore:
@@ -72,8 +82,9 @@ class TestCtStore:
             CtStore(tmp_path).get("ab" * 32)
 
     def test_record_in_the_old_json_layout_is_refused(self, tmp_path):
-        """A record written before records became frame bodies, one JSON
-        object with the container as base64, is refused, not migrated."""
+        """A record file written before records became frame bodies, one
+        JSON object with the container as base64, is refused, not
+        migrated."""
         store = CtStore(tmp_path)
         ct = b"stored under the earlier layout"
         record_id = content_id(ct)
@@ -82,21 +93,35 @@ class TestCtStore:
             b'"n_layers": 2, "policy_name": "vc", "policy_version": 1, '
             b'"updated_at": 7, "ct_b64": "%s"}'
             % (record_id.encode(), record_id.encode(), base64.b64encode(ct)))
-        with pytest.raises(StoreFailure, match=f"record {record_id} corrupt"):
+        with pytest.raises(StoreFailure, match="earlier layout"):
             store.get(record_id)
 
+    def test_record_in_the_per_record_layout_is_refused(self, tmp_path):
+        """A record file left from the layout of one file per record, a
+        bare frame body, is refused by reads and by publishes alike."""
+        record = CtRecord(id=content_id(b"old"), ct=b"old", n_layers=0, created_at=7,
+                          updated_at=7, policy_name="vc", policy_version=1,
+                          content_digest=content_id(b"old"))
+        (tmp_path / f"{record.id}.json").write_bytes(record.to_bytes())
+        store = CtStore(tmp_path)
+        with pytest.raises(StoreFailure, match="earlier layout"):
+            store.get(record.id)
+        with pytest.raises(StoreFailure, match="earlier layout"):
+            store.put_new(b"new", 0, "vc", 1, ManualClock())
+
     def test_corruption_detected(self, tmp_path):
-        """One flipped byte inside the container's section, under an
-        untouched header, fails the digest check."""
+        """One flipped byte inside the container's section of a segment
+        entry, under an untouched header, fails the digest check."""
         store = CtStore(tmp_path)
         record = store.put_new(b"data", 0, "vc", 1, ManualClock())
-        path = tmp_path / f"{record.id}.json"
+        (path,) = tmp_path.glob("*.json")
         data = bytearray(path.read_bytes())
         assert data.endswith(b"data")
         data[-2] ^= 0x01
         path.write_bytes(bytes(data))
-        with pytest.raises(StoreFailure, match="digest mismatch"):
-            store.get(record.id)
+        for reader in (store, CtStore(tmp_path)):
+            with pytest.raises(StoreFailure, match="digest mismatch"):
+                reader.get(record.id)
 
     @pytest.mark.parametrize("edit", [
         {"ct": "data"}, {"ct": 5}, {"ct": None}, {"ct": {"$section": 1}},
@@ -107,15 +132,17 @@ class TestCtStore:
              "missing-key", "extra-key", "version-string", "layers-bool",
              "time-float", "name-list"])
     def test_header_that_is_not_a_record_is_refused(self, tmp_path, edit):
-        """A well-framed file whose ``ct`` is not a section, whose header
-        keys are not the record's fields, or whose fields have the wrong
-        type, is refused; ``...`` drops a key."""
+        """A well-framed segment entry whose ``ct`` is not a section, whose
+        header keys are not the record's fields, or whose fields have the
+        wrong type, is refused; ``...`` drops a key."""
         store = CtStore(tmp_path)
         record = store.put_new(b"data", 0, "vc", 1, ManualClock())
         fields = {k: v for k, v in dict(vars(record), **edit).items() if v is not ...}
-        (tmp_path / f"{record.id}.json").write_bytes(encode_frame(fields))
-        with pytest.raises(StoreFailure, match=f"record {record.id} corrupt"):
-            store.get(record.id)
+        (path,) = tmp_path.glob("*.json")
+        _replace(path, segment(encode_frame(fields)))
+        for reader in (store, CtStore(tmp_path)):
+            with pytest.raises(StoreFailure, match=f"record {record.id} corrupt"):
+                reader.get(record.id)
 
     def test_by_policy(self, tmp_path):
         store = CtStore(tmp_path)
@@ -126,8 +153,9 @@ class TestCtStore:
         assert {r.ct for r in store.by_policy("vc")} == {b"one", b"three"}
 
     def test_reads_during_a_pass_see_old_or_new_records(self, tmp_path, monkeypatch):
-        """A reader taking no lock, running before, during and after a
-        pass's commit, reads every record whole and digest-verified."""
+        """A reader taking no lock, running before, during and after the
+        rename that commits a pass's rewrite of the segment, reads every
+        record whole and digest-verified."""
         store = CtStore(tmp_path)
         clock = ManualClock()
         old = {store.put_new(b"v1 %d" % i, 0, "vc", 1, clock).id: b"v1 %d" % i
@@ -155,8 +183,9 @@ class TestCtStore:
         real_replace = os.replace
 
         def yielding_replace(src, dst):
+            time.sleep(0.002)  # let the reader run before and after the rename
             real_replace(src, dst)
-            time.sleep(0.002)  # let the reader run between renames
+            time.sleep(0.002)
         monkeypatch.setattr(os, "replace", yielding_replace)
         thread = threading.Thread(target=reader)
         thread.start()
@@ -174,6 +203,136 @@ class TestCtStore:
         assert set(seen[-len(new):]) == {(ct, 2) for ct in new.values()}
 
 
+class TestSegments:
+    """One append-only segment per policy: torn tails, duplicates and
+    entries that belong to no record of the segment."""
+
+    @pytest.mark.parametrize("tail", ["cut-entry", "zeros"])
+    def test_torn_tail_is_skipped_then_cut_by_the_next_publish(self, tmp_path, tail):
+        """A writer that died mid-append leaves an unterminated last entry:
+        readers skip it, and the next publish cuts it before it appends."""
+        clock = ManualClock()
+        store = CtStore(tmp_path)
+        first = store.put_new(b"first", 0, "vc", 1, clock)
+        (path,) = tmp_path.glob("*.json")
+        whole = path.read_bytes()
+        torn = segment(dataclasses.replace(first, id="ab" * 32).to_bytes())[:-7]
+        with open(path, "ab") as handle:
+            handle.write(torn if tail == "cut-entry" else bytes(12))
+        assert CtStore(tmp_path).ids() == [first.id]
+        assert store.get(first.id) == first
+        second = CtStore(tmp_path).put_new(b"second", 0, "vc", 1, clock)
+        assert path.read_bytes() == whole + segment(second.to_bytes())
+        for reader in (store, CtStore(tmp_path)):
+            assert [reader.get(i).ct for i in (first.id, second.id)] == [b"first", b"second"]
+
+    def test_an_id_published_twice_keeps_one_entry_after_a_pass(self, tmp_path):
+        """The later of two entries of one id is the record; a pass that
+        rewrites the segment copies only that one."""
+        clock = ManualClock(10)
+        store = CtStore(tmp_path)
+        behind = store.put_new(b"behind", 0, "vc", 1, clock)
+        store.put_new(b"twice", 0, "vc", 2, clock)
+        clock.advance()
+        twice = store.put_new(b"twice", 0, "vc", 2, clock)
+        (path,) = tmp_path.glob("*.json")
+        assert len(segment_entries(path.read_bytes())) == 3
+        assert CtStore(tmp_path).get(twice.id).created_at == 11
+        with store.pass_lock() as group:
+            for record in store.by_policy("vc"):
+                if record.policy_version < 2:
+                    store.update(group, record, b"behind v2", 0, 2, clock)
+        assert sorted(segment_entries(path.read_bytes())) == sorted(
+            [twice.to_bytes(), dataclasses.replace(
+                behind, ct=b"behind v2", policy_version=2, updated_at=11,
+                content_digest=content_id(b"behind v2")).to_bytes()])
+        for reader in (store, CtStore(tmp_path)):
+            assert reader.get(twice.id) == twice
+            assert reader.ids() == sorted([behind.id, twice.id])
+
+    def test_entry_naming_another_policy_is_refused(self, tmp_path):
+        """An entry copied into the segment of another policy than the one
+        its header names makes reads of that segment raise."""
+        clock = ManualClock()
+        store = CtStore(tmp_path)
+        mine = store.put_new(b"mine", 0, "vc", 1, clock)
+        other = store.put_new(b"other", 0, "other", 1, clock)
+        mine_path = tmp_path / storage._file_name("vc")
+        with open(mine_path, "ab") as handle:
+            handle.write(segment(other.to_bytes()))
+        for reader in (store, CtStore(tmp_path)):
+            with pytest.raises(StoreFailure, match=f"record {other.id} corrupt.*names policy 'other'"):
+                reader.get(mine.id)
+        with pytest.raises(StoreFailure, match="names policy 'other'"):
+            CtStore(tmp_path).ids()
+
+    def test_publishes_and_passes_through_two_stores_lose_nothing(self, tmp_path):
+        """Four threads publish through two stores on one directory while
+        two more run passes through both; every record lands once, and
+        a last pass brings each to the new version."""
+        stores, clock = [CtStore(tmp_path), CtStore(tmp_path)], ManualClock()
+        published: list[list[str]] = [[] for _ in range(4)]
+        errors: list[Exception] = []
+        done = threading.Event()
+
+        def relayer(store):
+            with store.pass_lock() as group:
+                for record in store.by_policy("vc"):
+                    if record.policy_version < 2:
+                        store.update(group, record, record.ct + b" v2", 0, 2, clock)
+
+        def publish(k):
+            try:
+                for i in range(20):
+                    record = stores[k % 2].put_new(b"%d-%d" % (k, i), 0, "vc", 1, clock)
+                    published[k].append(record.id)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        def relayers(store):
+            try:
+                while not done.is_set():
+                    relayer(store)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writers = [threading.Thread(target=publish, args=(k,)) for k in range(4)]
+            passes = [threading.Thread(target=relayers, args=(store,)) for store in stores]
+            for thread in writers + passes:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            done.set()
+            for thread in passes:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in writers + passes)
+        assert errors == []
+        relayer(stores[1])
+        ids = sorted(i for ids in published for i in ids)
+        (path,) = tmp_path.glob("*.json")
+        assert len(segment_entries(path.read_bytes())) == len(ids) == 80
+        for reader in stores + [CtStore(tmp_path)]:
+            assert reader.ids() == ids
+            for k, i in ((k, i) for k in range(4) for i in range(20)):
+                record = reader.get(published[k][i])
+                assert (record.ct, record.policy_version) == (b"%d-%d v2" % (k, i), 2)
+
+    def test_id_stored_under_another_policy_is_refused(self, tmp_path):
+        """Each record id lives in one segment: a publish of the same
+        container under a second policy is refused and appends nothing."""
+        clock = ManualClock()
+        store = CtStore(tmp_path)
+        store.put_new(b"same", 0, "vc", 1, clock)
+        with pytest.raises(StoreFailure, match="under another policy"):
+            CtStore(tmp_path).put_new(b"same", 0, "other", 1, clock)
+        assert [p.name for p in tmp_path.glob("*.json")] == [storage._file_name("vc")]
+
+
 # Contents that do not decode to a record, a policy definition, an
 # incident or a deployment config. None stands for the files of the kind
 # that decode but have a field of the wrong type.
@@ -188,12 +347,15 @@ def test_malformed_file_raises_store_failure(tmp_path, kind, content):
     damaged incident line is never skipped."""
     clock = ManualClock()
     prefix = suffix = b""
+    frame = lambda bad: bad  # noqa: E731
     if kind == "record":
+        # A segment entry that has no readable record id damages its segment.
         store = CtStore(tmp_path)
         record = store.put_new(b"data", 0, "vc", 1, clock)
-        name, wrong = record.id, [encode_frame(dict(vars(record), policy_version="1"))]
+        wrong = [encode_frame(dict(vars(record), policy_version="1"))]
         (path,) = tmp_path.glob("*.json")
-        read = lambda: store.get(name)
+        name, frame = str(path) if content else record.id, segment
+        read = lambda: store.get(record.id)
     elif kind == "policy":
         store = PolicyStore(tmp_path)
         name = "vc"
@@ -217,7 +379,7 @@ def test_malformed_file_raises_store_failure(tmp_path, kind, content):
                  b'{"admin_ids": [5], "allowlist": {}}']
         name, read = str(path), lambda: Deployment(tmp_path, "pw", clock=clock)
     for bad in [content] if content else wrong:
-        path.write_bytes(prefix + bad + suffix)
+        path.write_bytes(prefix + frame(bad) + suffix)
         for _ in range(2):
             with pytest.raises(StoreFailure, match=re.escape(f"{name} corrupt")):
                 read()
@@ -277,18 +439,6 @@ class TestAtomicWrite:
         atomic_write(tmp_path / "record.json", b"data")
         assert synced == [("file", (tmp_path / "record.json").stat().st_ino),
                           ("dir", tmp_path.stat().st_ino)]
-
-    def test_group_fsyncs_each_directory_once(self, tmp_path, monkeypatch):
-        (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
-        targets = [tmp_path / "a" / "1", tmp_path / "b" / "2", tmp_path / "a" / "3"]
-        synced = self._record_fsyncs(monkeypatch)
-        group = storage._GroupCommit()
-        for target in targets:
-            group.stage(target, target.name.encode())
-        group.commit()
-        assert synced == [("file", t.stat().st_ino) for t in targets] + [
-            ("dir", (tmp_path / "a").stat().st_ino), ("dir", (tmp_path / "b").stat().st_ino)]
 
     def test_interrupted_write_leaves_old_content(self, tmp_path, monkeypatch):
         target = tmp_path / "record.json"
