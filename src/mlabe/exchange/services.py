@@ -248,7 +248,7 @@ class InternalCtEngine:
         which is fsynced and renamed over it when the pass lock is
         released, before this returns. If the pass fails part-way, the
         records re-layered before the failure are committed and the error
-        propagates.
+        propagates; if that commit fails, none is.
         """
         with self._ct_store.pass_lock() as group:
             policies, version = self._stored_layer_policies(policy_name)

@@ -19,7 +19,10 @@ migration; republish such a data directory.
 
 - **Publish** (``put_new``) takes the segment's exclusive ``flock``,
   cuts an unterminated tail that a dead writer left, appends one entry
-  and ``fdatasync``s it.
+  and ``fdatasync``s it. Each record id lives in one segment: the check
+  that no other segment holds the id and the append run under
+  ``.publish.lock``, which every store on the directory takes, so two
+  publishes of one container under two policies never both append.
 - **Re-layer pass.** The engine's pass scans the records of one policy
   (``by_policy``) and rewrites only those whose ``policy_version`` is
   below the policy's current version. It holds an exclusive ``flock``
@@ -33,6 +36,9 @@ migration; republish such a data directory.
   segment and fsyncs the directory: one create, one file fsync and one
   directory fsync per pass, whatever the number of records. The rewrite
   is also the compaction: only the last entry of each record survives.
+  Before the rename the pass appends one byte to ``.relayer.lock``; see
+  ``CtStore._generation``. A commit that fails leaves the segment as it
+  was.
 - **Reads** take no lock. ``get`` reads through an index of record id to
   segment offset that, like ``SecurityEventLog``, parses only the bytes
   appended since the last read, starts over when the segment's inode
@@ -44,8 +50,13 @@ migration; republish such a data directory.
 Records are content-addressed by the hash of the container bytes at
 publication; that id stays the record's stable handle across policy
 updates, while a separate digest always tracks the current bytes and is
-verified on every read, as is the id the entry names. An entry whose
-header names another policy than its segment raises ``StoreFailure``.
+verified on every read, as is the id the entry names. Damage stays in
+its segment: an entry that cannot be read, or whose header names
+another policy than its segment, makes reads of that segment, publishes
+to it and ``ids`` raise ``StoreFailure``, and a fetch of an id that no
+readable segment holds raise it rather than ``NotFound``; other
+segments' records stay readable and writable. An id found in two
+segments raises ``StoreFailure`` on reads of that id alone.
 Policy definitions and incident appends hold the same kind of lock
 (``_exclusive``) across their read-modify-write.
 """
@@ -67,7 +78,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator, Protocol, get_args, get_origin
 
-from ..errors import NotFound, StoreFailure
+from ..errors import NotFound, RecordConflict, StoreFailure
 from .transport import decode_frame, encode_frame
 
 
@@ -122,15 +133,6 @@ def _fsync(path: str | Path) -> None:
         os.close(fd)
 
 
-def _install(out: BinaryIO, tmp: str, path: Path) -> None:
-    """Make the temporary file `tmp`, open as `out`, durable, rename it
-    over `path`, then fsync the directory so the rename is on disk too."""
-    out.flush()
-    os.fsync(out.fileno())
-    os.replace(tmp, path)
-    _fsync(path.parent)
-
-
 def atomic_write(path: Path, data: bytes) -> None:
     """Durably replace the file at `path` with `data`, through a fresh
     temporary file beside it that is removed if it was not renamed."""
@@ -140,8 +142,11 @@ def atomic_write(path: Path, data: bytes) -> None:
                                    suffix=".tmp")
         with open(fd, "wb") as out:
             out.write(data)
-            _install(out, tmp, path)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
         tmp = None
+        _fsync(path.parent)
     except OSError as exc:
         raise StoreFailure(f"write to {path} failed: {exc}") from exc
     finally:
@@ -225,25 +230,36 @@ def _locked_segment(path: Path) -> Iterator[BinaryIO]:
 
 @dataclass
 class _Segment:
-    """What a store has indexed of one segment file: its inode, the bytes
-    of whole entries parsed, and the offset of each record's last entry."""
+    """What a store has indexed of one segment file: its inode and the
+    pass generation it was read at, the bytes of whole entries parsed,
+    the offset of each record's last entry, and why the entry after them
+    cannot be read, if it cannot."""
 
     inode: int
+    generation: int
     end: int = 0
     entries: dict[str, int] = field(default_factory=dict)
+    damage: str | None = None
 
 
-@dataclass
 class _Rewrite:
-    """A pass's temporary file for one segment, as far as it is written:
-    the replacement entries by record id at their offsets in it, and for
-    each the offset in the segment of the entry it replaces."""
+    """A pass's rewrite of one segment, streamed into a temporary file
+    beside it: the bytes of whole entries written, each entry's offset in
+    the file by record id, and the offset in the segment of the entry
+    each replacement replaces.
 
-    tmp: str
-    out: BinaryIO
-    end: int = 0
-    entries: dict[str, int] = field(default_factory=dict)
-    replaces: dict[str, int] = field(default_factory=dict)
+    A segment grows with every publish: a pass that held its replacements
+    in memory raised the served update-fanout workload's peak RSS by 30%,
+    and one that also built the new segment in memory by 57%.
+    """
+
+    def __init__(self, path: Path):
+        fd, self.tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                        suffix=".tmp")
+        self.out = open(fd, "wb")
+        self.end = 0
+        self.entries: dict[str, int] = {}
+        self.replaces: dict[str, int] = {}
 
     def append(self, record_id: str, entry: bytes) -> None:
         self.out.write(_U32.pack(len(entry)))
@@ -251,29 +267,11 @@ class _Rewrite:
         self.entries[record_id] = self.end
         self.end += _U32.size + len(entry)
 
-
-class _Pass:
-    """The segment rewrites of one re-layer pass, created on first use;
-    ``pass_lock`` closes their files and commits them."""
-
-    def __init__(self, root: Path, files: contextlib.ExitStack):
-        self._root = root
-        self._files = files
-        self.rewrites: dict[Path, _Rewrite] = {}
-
-    def rewrite(self, path: Path) -> _Rewrite:
-        if path not in self.rewrites:
-            fd, tmp = tempfile.mkstemp(dir=self._root, prefix=path.name + ".",
-                                       suffix=".tmp")
-            self.rewrites[path] = _Rewrite(tmp, self._files.enter_context(open(fd, "wb")))
-        return self.rewrites[path]
-
-    def discard(self, path: Path) -> None:
-        """Drop the rewrite of `path`, whose file may hold part of an entry."""
-        rewrite = self.rewrites.pop(path, None)
-        if rewrite is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(rewrite.tmp)
+    def close(self) -> None:
+        """Close the file, and remove it if it was not renamed."""
+        self.out.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(self.tmp)
 
 
 class CtStore:
@@ -286,28 +284,54 @@ class CtStore:
         self._lock = threading.Lock()  # guards the index below
         self._segments: dict[Path, _Segment] = {}
         self._where: dict[str, Path] = {}  # record id -> its segment
+        self._conflicts: dict[str, str] = {}  # record id found in two segments -> why
 
     def _segment_path(self, policy_name: str) -> Path:
         return self._root / _file_name(policy_name)
+
+    def _generation(self) -> int:
+        """How many passes have renamed a rewrite over a segment: the size
+        of ``.relayer.lock``, to which each appends one byte first.
+
+        A file that a rename replaced is freed, and the file system may
+        give its inode number to a later rewrite, so an unchanged inode
+        alone does not show an unchanged file; an unchanged inode and
+        generation, read after the file was opened, do.
+        """
+        try:
+            return os.stat(self._root / ".relayer.lock").st_size
+        except FileNotFoundError:
+            return 0
 
     def _refresh(self, path: Path, handle: BinaryIO) -> _Segment:
         """Index the whole entries appended to the segment open as `handle`
         since the last read, and return its index; hold _lock.
 
-        A file with another inode than the one indexed (a pass rewrote
-        it), or one shorter than what was indexed, is indexed from its
-        start. An unterminated last entry (fewer bytes than its length
-        says, or zeros) is a torn tail: it is skipped, and the offset
-        stays at the end of the whole entries before it. Other damage
-        raises StoreFailure and leaves the offset there too, so every
-        later read raises again.
+        A file with another inode or pass generation than the one indexed
+        (a pass may have rewritten it), or one shorter than what was
+        indexed, is indexed from its start. That index replaces the
+        store's only if the file is still the one at `path`: a reader
+        that opened the segment before a rename must not put the replaced
+        file's offsets back.
+
+        An unterminated last entry (fewer bytes than its length says, or
+        zeros) is a torn tail: it is skipped, and the offset stays at the
+        end of the whole entries before it. An entry that cannot be read,
+        or whose header names another policy, is damage: indexing stops
+        before it and ``damage`` says why, so reads and writes of this
+        segment raise while other segments stay usable. An id found in
+        two segments is a conflict that only reads of that id raise. A
+        record file of an earlier layout raises StoreFailure.
         """
-        st = os.fstat(handle.fileno())
+        st, generation = os.fstat(handle.fileno()), self._generation()
         segment = self._segments.get(path)
-        if segment is None or segment.inode != st.st_ino or st.st_size < segment.end:
-            segment = self._segments[path] = _Segment(st.st_ino)
+        if (segment is None or (segment.inode, segment.generation) != (st.st_ino, generation)
+                or st.st_size < segment.end):
+            segment = _Segment(st.st_ino, generation)
+            if os.stat(path).st_ino == st.st_ino:
+                self._segments[path] = segment
         offset = segment.end
-        while st.st_size - offset >= _U32.size:
+        while segment.damage is None and st.st_size - offset >= _U32.size:
             handle.seek(offset)
             head = handle.read(2 * _U32.size)
             if offset == 0 and b"{" in (head[:1], head[4:5]):
@@ -317,13 +341,17 @@ class CtStore:
             (length,) = _U32.unpack_from(head)
             if length == 0 or offset + _U32.size + length > st.st_size:
                 break
-            record_id, policy_name = self._entry_identity(path, handle, head, length, offset)
-            if type(policy_name) is not str or _file_name(policy_name) != path.name:
-                raise StoreFailure(f"record {record_id} corrupt: its entry at byte "
-                                   f"{offset} of {path} names policy {policy_name!r}")
+            try:
+                record_id, policy_name = self._entry_identity(path, handle, head, length, offset)
+                if type(policy_name) is not str or _file_name(policy_name) != path.name:
+                    raise StoreFailure(f"record {record_id} corrupt: its entry at byte "
+                                       f"{offset} of {path} names policy {policy_name!r}")
+            except StoreFailure as exc:
+                segment.damage = str(exc)
+                break
             if self._where.setdefault(record_id, path) != path:
-                raise StoreFailure(f"record {record_id} corrupt: stored in "
-                                   f"{self._where[record_id]} and {path}")
+                self._conflicts[record_id] = (f"record {record_id} corrupt: stored in "
+                                              f"{self._where[record_id]} and {path}")
             segment.entries[record_id] = offset
             offset = segment.end = offset + _U32.size + length
         return segment
@@ -346,24 +374,36 @@ class CtStore:
 
     def _rescan(self) -> None:
         """Index every segment in the directory up to its end; a segment
-        whose inode and size show nothing new is not opened."""
+        whose inode, size and pass generation show nothing new is not
+        opened."""
+        generation = self._generation()
         with os.scandir(self._root) as found:
             for entry in found:
                 if not entry.name.endswith(".json"):
                     continue
                 path, st = Path(entry.path), entry.stat()
                 segment = self._segments.get(path)
-                if segment is None or (segment.inode, segment.end) != (st.st_ino, st.st_size):
+                if segment is None or ((segment.inode, segment.end, segment.generation)
+                                       != (st.st_ino, st.st_size, generation)):
                     with open(path, "rb") as handle, self._lock:
                         self._refresh(path, handle)
+
+    def _damage(self) -> str | None:
+        """Why some segment cannot be read to its end, if one cannot."""
+        with self._lock:
+            return next((s.damage for s in self._segments.values() if s.damage), None)
 
     def put_new(self, ct: bytes, n_layers: int, policy_name: str,
                 policy_version: int, clock: LogicalClock) -> CtRecord:
         """Append a record to its policy's segment and ``fdatasync`` it.
 
         Under the segment's flock, a torn tail that a dead writer left is
-        cut before the append. A record id stored under another policy is
-        refused: each id lives in one segment.
+        cut before the append. Each id lives in one segment: the check
+        that no other segment holds it and the append run under
+        ``.publish.lock``, which every store on the directory takes, so
+        two publishes of one container under two policies cannot both
+        append; the later raises RecordConflict. A damaged segment is not
+        appended to.
         """
         record_id = content_id(ct)
         now = clock.now()
@@ -374,19 +414,24 @@ class CtStore:
             content_digest=record_id,
         )
         path = self._segment_path(policy_name)
-        self._rescan()
-        if self._where.get(record_id, path) != path:
-            raise StoreFailure(f"record {record_id} is stored under another policy")
         entry = record.to_bytes()
         try:
             with _locked_segment(path) as handle:
-                with self._lock:
-                    segment = self._refresh(path, handle)
-                end = segment.end
-                if handle.seek(0, os.SEEK_END) > end:
-                    handle.truncate(end)
-                handle.write(_U32.pack(len(entry)) + entry)
-                handle.flush()
+                with _exclusive(self._root / ".publish.lock"):
+                    self._rescan()
+                    with self._lock:
+                        segment = self._refresh(path, handle)
+                        owner = self._where.get(record_id, path)
+                    if segment.damage is not None:
+                        raise StoreFailure(segment.damage)
+                    if owner != path:
+                        raise RecordConflict(
+                            f"record {record_id} is stored under another policy")
+                    end = segment.end
+                    if handle.seek(0, os.SEEK_END) > end:
+                        handle.truncate(end)
+                    handle.write(_U32.pack(len(entry)) + entry)
+                    handle.flush()
                 os.fdatasync(handle.fileno())
                 if end == 0:
                     _fsync(self._root)  # the segment may be new: sync its name
@@ -398,11 +443,12 @@ class CtStore:
             raise StoreFailure(f"write to {path} failed: {exc}") from exc
         return record
 
-    def update(self, group: _Pass, record: CtRecord, ct: bytes,
+    def update(self, rewrites: dict[Path, _Rewrite], record: CtRecord, ct: bytes,
                n_layers: int, policy_version: int,
                clock: LogicalClock) -> CtRecord:
         """Stream the replacement of `record`, as just read through `get`,
-        into `group`, the pass that ``pass_lock`` yielded.
+        into its segment's rewrite among `rewrites`, which ``pass_lock``
+        yielded.
 
         The segment is not read again: the pass lock serializes updates of
         a record, so `record` is still its stored state. `record` is not
@@ -417,32 +463,47 @@ class CtStore:
         with self._lock:
             replaced = self._segments[path].entries[record.id]
         try:
-            rewrite = group.rewrite(path)
-            rewrite.append(record.id, updated.to_bytes())
+            if path not in rewrites:
+                rewrites[path] = _Rewrite(path)
+            rewrites[path].append(record.id, updated.to_bytes())
         except OSError as exc:
-            group.discard(path)
             raise StoreFailure(f"rewrite of {path} failed: {exc}") from exc
-        rewrite.replaces[record.id] = replaced
+        rewrites[path].replaces[record.id] = replaced
         return updated
 
-    def _commit(self, path: Path, rewrite: _Rewrite) -> None:
+    def _commit(self, lock: BinaryIO, path: Path, rewrite: _Rewrite) -> None:
         """Under the segment's flock, copy into `rewrite` every entry the
-        pass does not replace (the records it left alone, and those
-        appended since it read them), then rename it over the segment."""
+        pass did not replace (the records it left alone, and those
+        published since it read them), then rename it over the segment;
+        `lock` is ``.relayer.lock``, whose generation goes up first.
+
+        The file is first cut back to its whole entries, dropping any part
+        of one that a failed write left.
+        """
         try:
+            lock.write(b".")
+            lock.flush()
             with _locked_segment(path) as handle:
                 with self._lock:
-                    kept = sorted(self._refresh(path, handle).entries.items(),
-                                  key=lambda item: item[1])
-                for record_id, offset in kept:
-                    if rewrite.replaces.get(record_id, -1) < offset:
+                    segment = self._refresh(path, handle)
+                if segment.damage is not None:
+                    raise StoreFailure(segment.damage)
+                rewrite.out.seek(rewrite.end)
+                rewrite.out.truncate()
+                for record_id, offset in sorted(segment.entries.items(),
+                                                key=lambda item: item[1]):
+                    if rewrite.replaces.get(record_id) != offset:  # not replaced, or published again
                         handle.seek(offset)
                         (length,) = _U32.unpack(handle.read(_U32.size))
                         rewrite.append(record_id, handle.read(length))
-                _install(rewrite.out, rewrite.tmp, path)
+                rewrite.out.flush()
+                os.fsync(rewrite.out.fileno())
+                os.replace(rewrite.tmp, path)
+                _fsync(self._root)
                 inode = os.fstat(rewrite.out.fileno()).st_ino
                 with self._lock:
-                    self._segments[path] = _Segment(inode, rewrite.end, rewrite.entries)
+                    self._segments[path] = _Segment(inode, self._generation(),
+                                                    rewrite.end, rewrite.entries)
         except OSError as exc:
             raise StoreFailure(f"rewrite of {path} failed: {exc}") from exc
 
@@ -454,10 +515,18 @@ class CtStore:
             self._rescan()
             path = self._where.get(record_id)
             if path is None:
+                damage = self._damage()
+                if damage is not None:  # the record may be past the damage
+                    raise StoreFailure(f"record {record_id} not readable: {damage}")
                 raise NotFound(f"no such ciphertext record: {record_id}")
+        if record_id in self._conflicts:
+            raise StoreFailure(self._conflicts[record_id])
         with open(path, "rb") as handle:
             with self._lock:
-                offset = self._refresh(path, handle).entries.get(record_id)
+                segment = self._refresh(path, handle)
+            if segment.damage is not None:
+                raise StoreFailure(segment.damage)
+            offset = segment.entries.get(record_id)
             if offset is None:
                 raise NotFound(f"no such ciphertext record: {record_id}")
             handle.seek(offset)
@@ -476,35 +545,40 @@ class CtStore:
         return record
 
     @contextlib.contextmanager
-    def pass_lock(self) -> Iterator[_Pass]:
+    def pass_lock(self) -> Iterator[dict[Path, _Rewrite]]:
         """Hold the exclusive re-layer lock for the duration of the block,
-        and yield the pass that the block's ``update`` calls stream into;
-        it commits when the block ends.
+        and yield the segment rewrites that the block's ``update`` calls
+        stream into; they commit when the block ends.
 
         Only passes stage files in the record directory, always under this
         lock, so a ``*.tmp`` file found on entry is a killed pass's and is
         removed. The lock file's name does not end in ``.json``, so ``ids``
         never reads it. The commit runs under the lock, also when the
-        block raises: what was streamed before the error becomes durable
-        and visible, then the error propagates.
+        block raises: the records replaced before the error become durable
+        and visible, then the error propagates. A commit that fails leaves
+        its segment as it was: none of its replacements is written.
         """
-        with _exclusive(self._root / ".relayer.lock"), contextlib.ExitStack() as files:
+        with _exclusive(self._root / ".relayer.lock") as lock:
             for stray in self._root.glob("*.tmp"):
                 stray.unlink(missing_ok=True)
-            group = _Pass(self._root, files)
+            rewrites: dict[Path, _Rewrite] = {}
             try:
-                yield group
+                yield rewrites
             finally:
                 try:
-                    for path, rewrite in group.rewrites.items():
-                        self._commit(path, rewrite)
+                    for path, rewrite in rewrites.items():
+                        self._commit(lock, path, rewrite)
                 finally:
-                    for rewrite in group.rewrites.values():
-                        with contextlib.suppress(FileNotFoundError):
-                            os.unlink(rewrite.tmp)
+                    for rewrite in rewrites.values():
+                        rewrite.close()
 
     def ids(self) -> list[str]:
+        """Every record id, sorted; StoreFailure if a segment is damaged,
+        as some ids may be past the damage."""
         self._rescan()
+        damage = self._damage()
+        if damage is not None:
+            raise StoreFailure(damage)
         with self._lock:
             return sorted(self._where)
 

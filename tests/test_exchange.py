@@ -31,6 +31,7 @@ from mlabe.errors import (
     NotFound,
     PolicySyntaxError,
     PolicyUnsatisfied,
+    RecordConflict,
     StoreFailure,
     Unauthorized,
 )
@@ -286,6 +287,20 @@ class TestPublish:
         deployment.client("admin", caller="admin").request(
             "POST /policy", {"name": "vc", "layers": ["(Boss)"]})
         assert deployment.policy_store.get("vc").version == 2
+
+    def test_ct1_published_under_two_policies_with_equal_layers_is_refused(
+            self, deployment):
+        """Layer addition is deterministic, so one CT_1 under two policies
+        with equal layers is one stored container: the second publish is
+        refused with RecordConflict, and the record keeps its policy."""
+        deployment.admin.define_policy("admin", "vc-copy", ["(Staff)", "(Mechanic OR Boss)"])
+        ct1 = DataOwner(deployment.mpk, make_rng("do")).encrypt(b"data", parse_policy("(Staff)"))
+        client = deployment.client("internal")
+        first = client.request("POST /publish", {"ct1": ct1, "policy_name": "vc"})
+        with pytest.raises(RecordConflict, match="under another policy"):
+            client.request("POST /publish", {"ct1": ct1, "policy_name": "vc-copy"})
+        assert deployment.ct_store.get(first["id"]).policy_name == "vc"
+        assert deployment.ct_store.by_policy("vc-copy") == []
 
     def test_engine_unreachable_when_connect_fails(self, deployment, monkeypatch):
         """A failed connect raises at once: it is tried exactly once."""

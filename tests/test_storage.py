@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import dataclasses
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 
 from support import segment, segment_entries
 
-from mlabe.errors import NotFound, StoreFailure
+from mlabe.errors import NotFound, RecordConflict, StoreFailure
 from mlabe.exchange import storage
 from mlabe.exchange.services import Deployment
 from mlabe.exchange.storage import (
@@ -327,10 +328,163 @@ class TestSegments:
         container under a second policy is refused and appends nothing."""
         clock = ManualClock()
         store = CtStore(tmp_path)
-        store.put_new(b"same", 0, "vc", 1, clock)
-        with pytest.raises(StoreFailure, match="under another policy"):
+        record = store.put_new(b"same", 0, "vc", 1, clock)
+        with pytest.raises(RecordConflict, match="under another policy"):
             CtStore(tmp_path).put_new(b"same", 0, "other", 1, clock)
-        assert [p.name for p in tmp_path.glob("*.json")] == [storage._file_name("vc")]
+        assert (tmp_path / storage._file_name("other")).read_bytes() == b""
+        assert CtStore(tmp_path).by_policy("vc") == [record]
+
+    def test_racing_publishes_of_one_id_under_two_policies_store_it_once(
+            self, tmp_path, monkeypatch):
+        """Two stores publish one container under two policies at once, each
+        held after its check of where the id lives until the other has
+        checked too, or for half a second: one lands, the other is
+        refused, and a fresh store still publishes and fetches."""
+        clock = ManualClock()
+        stores = [CtStore(tmp_path), CtStore(tmp_path)]
+        barrier = threading.Barrier(2)
+        real_rescan = CtStore._rescan
+        outcomes: list[object] = []
+
+        def rescan_then_wait(store):
+            real_rescan(store)
+            with contextlib.suppress(threading.BrokenBarrierError):
+                barrier.wait(timeout=0.5)  # the publish lock keeps the other out
+
+        def publish(k):
+            try:
+                outcomes.append(stores[k].put_new(b"same", 0, ["vc", "other"][k], 1, clock))
+            except RecordConflict as exc:
+                outcomes.append(exc)
+
+        monkeypatch.setattr(CtStore, "_rescan", rescan_then_wait)
+        threads = [threading.Thread(target=publish, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        monkeypatch.undo()
+        assert not any(thread.is_alive() for thread in threads)
+        (stored,) = [o for o in outcomes if isinstance(o, CtRecord)]
+        assert [type(o) for o in outcomes].count(RecordConflict) == 1
+        assert sum(len(segment_entries(p.read_bytes())) for p in tmp_path.glob("*.json")) == 1
+        fresh = CtStore(tmp_path)
+        assert fresh.get(stored.id) == stored
+        later = fresh.put_new(b"later", 0, "other", 1, clock)
+        assert CtStore(tmp_path).get(later.id) == later
+        assert CtStore(tmp_path).ids() == sorted([stored.id, later.id])
+
+    def test_damaged_segment_leaves_other_policies_working(self, tmp_path):
+        """An unreadable entry in one policy's segment makes reads of that
+        segment, publishes to it and listings raise; another policy's
+        records still publish and fetch through a fresh store, and a fetch
+        of an id no readable segment holds raises rather than missing."""
+        clock = ManualClock()
+        store = CtStore(tmp_path)
+        damaged = store.put_new(b"damaged", 0, "vc", 1, clock)
+        healthy = store.put_new(b"healthy", 0, "other", 1, clock)
+        with open(tmp_path / storage._file_name("vc"), "ab") as handle:
+            handle.write(segment(b"\0\0\0\xffnot a header"))
+        for reader in (store, CtStore(tmp_path)):
+            with pytest.raises(StoreFailure, match="corrupt at byte"):
+                reader.get(damaged.id)
+            with pytest.raises(StoreFailure, match="corrupt at byte"):
+                reader.put_new(b"more", 0, "vc", 1, clock)
+            with pytest.raises(StoreFailure, match="corrupt at byte"):
+                reader.ids()
+            with pytest.raises(StoreFailure, match="not readable"):
+                reader.get("ab" * 32)
+        fresh = CtStore(tmp_path)
+        assert fresh.get(healthy.id) == healthy
+        added = fresh.put_new(b"added", 0, "other", 1, clock)
+        for reader in (store, fresh, CtStore(tmp_path)):
+            assert [reader.get(i) for i in (healthy.id, added.id)] == [healthy, added]
+
+    def test_id_in_two_segments_fails_only_its_reads(self, tmp_path):
+        """An id whose entries lie in two segments, each naming that
+        segment's policy, makes reads of that id raise; other records of
+        both segments still read, and publishes go on."""
+        clock = ManualClock()
+        store = CtStore(tmp_path)
+        twice = store.put_new(b"twice", 0, "vc", 1, clock)
+        other = store.put_new(b"other", 0, "other", 1, clock)
+        with open(tmp_path / storage._file_name("other"), "ab") as handle:
+            handle.write(segment(dataclasses.replace(twice, policy_name="other").to_bytes()))
+        fresh = CtStore(tmp_path)
+        with pytest.raises(StoreFailure, match=f"record {twice.id} corrupt: stored in"):
+            fresh.get(twice.id)
+        assert fresh.get(other.id) == other
+        added = fresh.put_new(b"added", 0, "vc", 1, clock)
+        assert CtStore(tmp_path).get(added.id) == added
+
+    def test_index_survives_passes_that_reuse_an_inode(self, tmp_path):
+        """Two passes through another store may give the second rewrite the
+        inode number the first freed; a store that read neither rewrite
+        still reads every record at its new version."""
+        clock = ManualClock()
+        store, other = CtStore(tmp_path), CtStore(tmp_path)
+        records = [store.put_new(b"%d" % i, 0, "vc", 1, clock) for i in range(3)]
+        assert [store.get(r.id) for r in records] == records
+        for version in (2, 3):
+            with other.pass_lock() as group:
+                for record in other.by_policy("vc"):
+                    other.update(group, record, record.ct + b" v%d" % version * version,
+                                 0, version, clock)
+        for record in records:
+            assert store.get(record.id).ct == record.ct + b" v2" * 2 + b" v3" * 3
+
+    def test_write_failure_mid_pass_commits_the_records_before_it(self, tmp_path):
+        """A write of a replacement that fails part-way leaves part of an
+        entry in the rewrite; the commit cuts it, so the records re-layered
+        before the failure land and the rest stay as they were."""
+        clock = ManualClock()
+        store = CtStore(tmp_path)
+        first, second = (store.put_new(b"%d" % i, 0, "vc", 1, clock) for i in range(2))
+
+        class FailingWrites:
+            def __init__(self, out):
+                self.out = out
+
+            def write(self, data):
+                self.out.write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self.out, name)
+
+        with store.pass_lock() as rewrites:
+            store.update(rewrites, store.get(first.id), b"first v2", 0, 2, clock)
+            (rewrite,) = rewrites.values()
+            out, rewrite.out = rewrite.out, FailingWrites(rewrite.out)
+            with pytest.raises(StoreFailure, match="No space left"):
+                store.update(rewrites, store.get(second.id), b"second v2", 0, 2, clock)
+            rewrite.out = out  # the disk has room again by the commit
+        assert list(tmp_path.glob("*.tmp")) == []
+        for reader in (store, CtStore(tmp_path)):
+            assert [(r.ct, r.policy_version) for r in map(reader.get, (first.id, second.id))] \
+                == [(b"first v2", 2), (b"1", 1)]
+
+    def test_reader_holding_a_replaced_segment_leaves_the_index_current(self, tmp_path):
+        """A read that opened the segment before a pass renamed its rewrite
+        over it, and indexes it during the next pass, reads the old file
+        without putting its offsets in the index that pass replaces by."""
+        clock = ManualClock()
+        store = CtStore(tmp_path)
+        first = store.put_new(b"first", 0, "vc", 1, clock)
+        (path,) = tmp_path.glob("*.json")
+        with open(path, "rb") as stale:
+            with store.pass_lock() as group:
+                store.update(group, store.get(first.id), b"first, longer v2", 0, 2, clock)
+            second = store.put_new(b"second", 0, "vc", 2, clock)
+            with store.pass_lock() as group:
+                records = store.by_policy("vc")
+                with store._lock:
+                    assert store._refresh(path, stale).entries == {first.id: 0}
+                for record in records:
+                    store.update(group, record, record.ct + b" v3", 0, 3, clock)
+        for reader in (store, CtStore(tmp_path)):
+            assert [(r.ct, r.policy_version) for r in map(reader.get, (first.id, second.id))] \
+                == [(b"first, longer v2 v3", 3), (b"second v3", 3)]
 
 
 # Contents that do not decode to a record, a policy definition, an
