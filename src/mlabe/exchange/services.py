@@ -14,11 +14,12 @@ which wraps a per-request time-gate layer requiring a key newer than the
 last recorded security incident.
 
 A deployment opens in one step under an exclusive lock on
-``.setup.lock`` in its data directory: it merges its allowlist and admin
-ids into ``config.json``, then loads the authority's master pair, or
-creates it if the directory has none. Deployments opening one directory
-at once, in one process or several, therefore share one master pair and
-keep every allowlist.
+``.setup.lock`` in its data directory: it removes a killed opener's
+temporary files (only openers write ``config.json`` and ``aa/``), merges
+its allowlist and admin ids into ``config.json``, then loads the
+authority's master pair, or creates it if the directory has none.
+Deployments opening one directory at once, in one process or several,
+therefore share one master pair and keep every allowlist.
 
 Every stored (updatable) layer policy is augmented to
 ``(AP_i OR ENGINE_UPDATE)`` and the authority issues the internal engine
@@ -438,6 +439,9 @@ class Deployment:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.clock = clock or SystemClock()
         with _exclusive(self.data_dir / ".setup.lock"):
+            for stray in [*self.data_dir.glob("config.json.*.tmp"),
+                          *(self.data_dir / "aa").glob("*.tmp")]:
+                stray.unlink(missing_ok=True)
             config = self._load_or_init_config(allowlist, admin_ids)
             config["allowlist"].setdefault(ENGINE_REQUESTER_ID, [ENGINE_UPDATE_ATTRIBUTE])
             self.allowlist: dict[str, list[str]] = config["allowlist"]

@@ -36,16 +36,17 @@ migration; republish such a data directory.
   segment and fsyncs the directory: one create, one file fsync and one
   directory fsync per pass, whatever the number of records. The rewrite
   is also the compaction: only the last entry of each record survives.
-  Before the rename the pass appends one byte to ``.relayer.lock``; see
-  ``CtStore._generation``. A commit that fails leaves the segment as it
-  was.
+  A commit that fails leaves the segment as it was.
 - **Reads** take no lock. ``get`` reads through an index of record id to
   segment offset that, like ``SecurityEventLog``, parses only the bytes
-  appended since the last read, starts over when the segment's inode
-  changes, and rescans the directory before raising ``NotFound``. A
-  segment file is only ever appended to or replaced whole by rename, so
-  a reader sees each record before or after a pass, whole and
-  digest-verified.
+  appended since the last read, and rescans the directory before raising
+  ``NotFound``. A store holds each segment it has indexed open
+  (``_Segment``), so a new inode at its path shows a pass's rename: the
+  new file is opened and indexed from its start. A segment file is only
+  ever appended to or replaced whole by rename, so a reader sees each
+  record before or after a pass, whole and digest-verified. A segment
+  that cannot be opened or read, for want of descriptors too, raises
+  ``StoreFailure``.
 
 Records are content-addressed by the hash of the container bytes at
 publication; that id stays the record's stable handle across policy
@@ -74,6 +75,7 @@ import struct
 import tempfile
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator, Protocol, get_args, get_origin
@@ -228,18 +230,29 @@ def _locked_segment(path: Path) -> Iterator[BinaryIO]:
                 return
 
 
-@dataclass
 class _Segment:
-    """What a store has indexed of one segment file: its inode and the
-    pass generation it was read at, the bytes of whole entries parsed,
-    the offset of each record's last entry, and why the entry after them
-    cannot be read, if it cannot."""
+    """What a store has indexed of one segment file, held open read-only
+    until the object is dropped: the bytes of whole entries parsed, the
+    offset of each record's last entry, and why the entry after them
+    cannot be read, if it cannot.
 
-    inode: int
-    generation: int
-    end: int = 0
-    entries: dict[str, int] = field(default_factory=dict)
-    damage: str | None = None
+    A file renamed over stays allocated, with its inode number, until its
+    last descriptor closes, so no other file takes ``inode`` while this
+    object lives: the path names this file exactly while it has that inode.
+    """
+
+    def __init__(self, path: str | Path):
+        self.fd = os.open(path, os.O_RDONLY)
+        weakref.finalize(self, os.close, self.fd)
+        self.inode = os.fstat(self.fd).st_ino
+        self.end = 0
+        self.entries: dict[str, int] = {}
+        self.damage: str | None = None
+
+    def read(self, offset: int) -> bytes:
+        """The entry at `offset`, without its length."""
+        (length,) = _U32.unpack(os.pread(self.fd, _U32.size, offset))
+        return os.pread(self.fd, length, offset + _U32.size)
 
 
 class _Rewrite:
@@ -289,30 +302,14 @@ class CtStore:
     def _segment_path(self, policy_name: str) -> Path:
         return self._root / _file_name(policy_name)
 
-    def _generation(self) -> int:
-        """How many passes have renamed a rewrite over a segment: the size
-        of ``.relayer.lock``, to which each appends one byte first.
+    def _refresh(self, path: Path) -> _Segment:
+        """Index the whole entries appended to the segment at `path` since
+        the last read, and return its index; hold _lock.
 
-        A file that a rename replaced is freed, and the file system may
-        give its inode number to a later rewrite, so an unchanged inode
-        alone does not show an unchanged file; an unchanged inode and
-        generation, read after the file was opened, do.
-        """
-        try:
-            return os.stat(self._root / ".relayer.lock").st_size
-        except FileNotFoundError:
-            return 0
-
-    def _refresh(self, path: Path, handle: BinaryIO) -> _Segment:
-        """Index the whole entries appended to the segment open as `handle`
-        since the last read, and return its index; hold _lock.
-
-        A file with another inode or pass generation than the one indexed
-        (a pass may have rewritten it), or one shorter than what was
-        indexed, is indexed from its start. That index replaces the
-        store's only if the file is still the one at `path`: a reader
-        that opened the segment before a rename must not put the replaced
-        file's offsets back.
+        A file at `path` with another inode than the one held (a pass has
+        renamed a rewrite over it), or one shorter than what was indexed,
+        is opened and indexed from its start. An unchanged file costs one
+        ``stat``.
 
         An unterminated last entry (fewer bytes than its length says, or
         zeros) is a torn tail: it is skipped, and the offset stays at the
@@ -321,51 +318,54 @@ class CtStore:
         before it and ``damage`` says why, so reads and writes of this
         segment raise while other segments stay usable. An id found in
         two segments is a conflict that only reads of that id raise. A
-        record file of an earlier layout raises StoreFailure.
+        record file of an earlier layout, or a file that cannot be opened
+        or read, raises StoreFailure.
         """
-        st, generation = os.fstat(handle.fileno()), self._generation()
-        segment = self._segments.get(path)
-        if (segment is None or (segment.inode, segment.generation) != (st.st_ino, generation)
-                or st.st_size < segment.end):
-            segment = _Segment(st.st_ino, generation)
-            if os.stat(path).st_ino == st.st_ino:
-                self._segments[path] = segment
-        offset = segment.end
-        while segment.damage is None and st.st_size - offset >= _U32.size:
-            handle.seek(offset)
-            head = handle.read(2 * _U32.size)
-            if offset == 0 and b"{" in (head[:1], head[4:5]):
-                raise StoreFailure(
-                    f"segment {path} corrupt: it is a record file of an earlier "
-                    "layout, which this store does not read; republish the data directory")
-            (length,) = _U32.unpack_from(head)
-            if length == 0 or offset + _U32.size + length > st.st_size:
-                break
-            try:
-                record_id, policy_name = self._entry_identity(path, handle, head, length, offset)
-                if type(policy_name) is not str or _file_name(policy_name) != path.name:
-                    raise StoreFailure(f"record {record_id} corrupt: its entry at byte "
-                                       f"{offset} of {path} names policy {policy_name!r}")
-            except StoreFailure as exc:
-                segment.damage = str(exc)
-                break
-            if self._where.setdefault(record_id, path) != path:
-                self._conflicts[record_id] = (f"record {record_id} corrupt: stored in "
-                                              f"{self._where[record_id]} and {path}")
-            segment.entries[record_id] = offset
-            offset = segment.end = offset + _U32.size + length
+        try:
+            st = os.stat(path)
+            segment = self._segments.get(path)
+            if segment is None or segment.inode != st.st_ino or st.st_size < segment.end:
+                segment = self._segments[path] = _Segment(path)
+                st = os.fstat(segment.fd)
+            offset = segment.end
+            while segment.damage is None and st.st_size - offset >= _U32.size:
+                head = os.pread(segment.fd, 2 * _U32.size, offset)
+                if offset == 0 and b"{" in (head[:1], head[4:5]):
+                    raise StoreFailure(
+                        f"segment {path} corrupt: it is a record file of an earlier "
+                        "layout, which this store does not read; republish the data directory")
+                (length,) = _U32.unpack_from(head)
+                if length == 0 or offset + _U32.size + length > st.st_size:
+                    break
+                try:
+                    record_id, policy_name = self._entry_identity(path, segment.fd, head,
+                                                                  length, offset)
+                    if type(policy_name) is not str or _file_name(policy_name) != path.name:
+                        raise StoreFailure(f"record {record_id} corrupt: its entry at byte "
+                                           f"{offset} of {path} names policy {policy_name!r}")
+                except StoreFailure as exc:
+                    segment.damage = str(exc)
+                    break
+                if self._where.setdefault(record_id, path) != path:
+                    self._conflicts[record_id] = (f"record {record_id} corrupt: stored in "
+                                                  f"{self._where[record_id]} and {path}")
+                segment.entries[record_id] = offset
+                offset = segment.end = offset + _U32.size + length
+        except OSError as exc:
+            raise StoreFailure(f"read of {path} failed: {exc}") from exc
         return segment
 
     @staticmethod
-    def _entry_identity(path: Path, handle: BinaryIO, head: bytes, length: int,
+    def _entry_identity(path: Path, fd: int, head: bytes, length: int,
                         offset: int) -> tuple[str, Any]:
         """The record id and policy name that the header of the entry at
-        `offset` names, its first 8 bytes being `head`."""
+        `offset` of the file open as `fd` names, its first 8 bytes being
+        `head`."""
         try:
             (header_len,) = _U32.unpack_from(head, _U32.size)
             if _U32.size + header_len > length:
                 raise ValueError("frame header runs past the entry end")
-            header = json.loads(handle.read(header_len))
+            header = json.loads(os.pread(fd, header_len, offset + 2 * _U32.size))
             if type(header) is not dict or type(header.get("id")) is not str:
                 raise ValueError("frame header names no record id")
             return header["id"], header.get("policy_name")
@@ -373,20 +373,15 @@ class CtStore:
             raise StoreFailure(f"segment {path} corrupt at byte {offset}: {exc!r}") from exc
 
     def _rescan(self) -> None:
-        """Index every segment in the directory up to its end; a segment
-        whose inode, size and pass generation show nothing new is not
-        opened."""
-        generation = self._generation()
-        with os.scandir(self._root) as found:
-            for entry in found:
-                if not entry.name.endswith(".json"):
-                    continue
-                path, st = Path(entry.path), entry.stat()
-                segment = self._segments.get(path)
-                if segment is None or ((segment.inode, segment.end, segment.generation)
-                                       != (st.st_ino, st.st_size, generation)):
-                    with open(path, "rb") as handle, self._lock:
-                        self._refresh(path, handle)
+        """Index every segment in the directory up to its end; entries that
+        are not regular files are no segments."""
+        try:
+            with os.scandir(self._root) as found, self._lock:
+                for entry in found:
+                    if entry.name.endswith(".json") and entry.is_file():
+                        self._refresh(Path(entry.path))
+        except OSError as exc:
+            raise StoreFailure(f"read of {self._root} failed: {exc}") from exc
 
     def _damage(self) -> str | None:
         """Why some segment cannot be read to its end, if one cannot."""
@@ -420,7 +415,7 @@ class CtStore:
                 with _exclusive(self._root / ".publish.lock"):
                     self._rescan()
                     with self._lock:
-                        segment = self._refresh(path, handle)
+                        segment = self._refresh(path)
                         owner = self._where.get(record_id, path)
                     if segment.damage is not None:
                         raise StoreFailure(segment.damage)
@@ -435,10 +430,8 @@ class CtStore:
                 os.fdatasync(handle.fileno())
                 if end == 0:
                     _fsync(self._root)  # the segment may be new: sync its name
-                with self._lock:  # the flock keeps `segment` this file's index
-                    segment.entries[record_id] = end
-                    segment.end = max(segment.end, end + _U32.size + len(entry))
-                    self._where[record_id] = path
+                with self._lock:
+                    self._refresh(path)
         except OSError as exc:
             raise StoreFailure(f"write to {path} failed: {exc}") from exc
         return record
@@ -471,21 +464,18 @@ class CtStore:
         rewrites[path].replaces[record.id] = replaced
         return updated
 
-    def _commit(self, lock: BinaryIO, path: Path, rewrite: _Rewrite) -> None:
+    def _commit(self, path: Path, rewrite: _Rewrite) -> None:
         """Under the segment's flock, copy into `rewrite` every entry the
         pass did not replace (the records it left alone, and those
-        published since it read them), then rename it over the segment;
-        `lock` is ``.relayer.lock``, whose generation goes up first.
+        published since it read them), then rename it over the segment.
 
         The file is first cut back to its whole entries, dropping any part
         of one that a failed write left.
         """
         try:
-            lock.write(b".")
-            lock.flush()
-            with _locked_segment(path) as handle:
+            with _locked_segment(path):
                 with self._lock:
-                    segment = self._refresh(path, handle)
+                    segment = self._refresh(path)
                 if segment.damage is not None:
                     raise StoreFailure(segment.damage)
                 rewrite.out.seek(rewrite.end)
@@ -493,17 +483,15 @@ class CtStore:
                 for record_id, offset in sorted(segment.entries.items(),
                                                 key=lambda item: item[1]):
                     if rewrite.replaces.get(record_id) != offset:  # not replaced, or published again
-                        handle.seek(offset)
-                        (length,) = _U32.unpack(handle.read(_U32.size))
-                        rewrite.append(record_id, handle.read(length))
+                        rewrite.append(record_id, segment.read(offset))
                 rewrite.out.flush()
                 os.fsync(rewrite.out.fileno())
+                renamed = _Segment(rewrite.tmp)
+                renamed.end, renamed.entries = rewrite.end, rewrite.entries
                 os.replace(rewrite.tmp, path)
-                _fsync(self._root)
-                inode = os.fstat(rewrite.out.fileno()).st_ino
                 with self._lock:
-                    self._segments[path] = _Segment(inode, self._generation(),
-                                                    rewrite.end, rewrite.entries)
+                    self._segments[path] = renamed
+                _fsync(self._root)
         except OSError as exc:
             raise StoreFailure(f"rewrite of {path} failed: {exc}") from exc
 
@@ -521,17 +509,17 @@ class CtStore:
                 raise NotFound(f"no such ciphertext record: {record_id}")
         if record_id in self._conflicts:
             raise StoreFailure(self._conflicts[record_id])
-        with open(path, "rb") as handle:
-            with self._lock:
-                segment = self._refresh(path, handle)
-            if segment.damage is not None:
-                raise StoreFailure(segment.damage)
-            offset = segment.entries.get(record_id)
-            if offset is None:
-                raise NotFound(f"no such ciphertext record: {record_id}")
-            handle.seek(offset)
-            (length,) = _U32.unpack(handle.read(_U32.size))
-            data = handle.read(length)
+        with self._lock:
+            segment = self._refresh(path)
+        if segment.damage is not None:
+            raise StoreFailure(segment.damage)
+        offset = segment.entries.get(record_id)
+        if offset is None:
+            raise NotFound(f"no such ciphertext record: {record_id}")
+        try:
+            data = segment.read(offset)
+        except OSError as exc:
+            raise StoreFailure(f"read of {path} failed: {exc}") from exc
         try:
             record = CtRecord.from_bytes(data)
             _check_types(vars(record), _RECORD_TYPES)
@@ -558,7 +546,7 @@ class CtStore:
         and visible, then the error propagates. A commit that fails leaves
         its segment as it was: none of its replacements is written.
         """
-        with _exclusive(self._root / ".relayer.lock") as lock:
+        with _exclusive(self._root / ".relayer.lock"):
             for stray in self._root.glob("*.tmp"):
                 stray.unlink(missing_ok=True)
             rewrites: dict[Path, _Rewrite] = {}
@@ -567,7 +555,7 @@ class CtStore:
             finally:
                 try:
                     for path, rewrite in rewrites.items():
-                        self._commit(lock, path, rewrite)
+                        self._commit(path, rewrite)
                 finally:
                     for rewrite in rewrites.values():
                         rewrite.close()
@@ -604,8 +592,10 @@ class PolicyStore:
 
     ``define`` holds an exclusive ``flock`` on ``.define.lock`` across its
     read, version bump and write, so two stores on one directory, in one
-    process or two, never both write the same next version. The lock
-    file's name does not end in ``.json``, so ``names`` never lists it.
+    process or two, never both write the same next version; only
+    ``define`` writes here, so it first removes a killed one's temporary
+    files. The lock file's name does not end in ``.json``, so ``names``
+    never lists it.
     Reads take no lock: each policy file is replaced whole by rename. A
     file that names another policy than the one read is corrupt.
     """
@@ -619,6 +609,8 @@ class PolicyStore:
 
     def define(self, name: str, layers: list[str], clock: LogicalClock) -> PolicyRecord:
         with _exclusive(self._root / ".define.lock"):
+            for stray in self._root.glob("*.tmp"):
+                stray.unlink(missing_ok=True)
             try:
                 record = self.get(name)
             except NotFound:

@@ -3,8 +3,10 @@ time gate, and wire-level confidentiality."""
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
+import os
 import select
 import shutil
 import socket
@@ -214,6 +216,27 @@ class TestAttributeAuthority:
         assert third.allowlist["bob"] == ["Mechanic"]
         assert third.admin_ids == {"admin", "root"}
         assert not list((tmp_path / "d").glob("*.tmp"))
+
+    def test_stray_temporary_files_go_on_the_next_open_or_define(self, tmp_path):
+        """A killed ``atomic_write`` leaves its temporary file beside its
+        target: the next open removes those beside the config and under
+        ``aa/``, the next define those under ``policies/``, and the files
+        they stand beside stay as they were."""
+        data_dir = tmp_path / "d"
+        first = Deployment(data_dir, "pw", clock=ManualClock(), allowlist=ALLOW)
+        first.admin.define_policy("admin", "vc", ["(Staff)"])
+        kept = [data_dir / "config.json", data_dir / "aa" / "mpk.bin",
+                data_dir / "aa" / "master.enc", *(data_dir / "policies").glob("*.json")]
+        before = [path.read_bytes() for path in kept]
+        strays = [path.with_name(path.name + ".k1ll3d.tmp") for path in kept]
+        for stray in strays:
+            stray.write_bytes(b"part of a write")
+        second = Deployment(data_dir, "pw", clock=ManualClock())
+        assert [stray.exists() for stray in strays] == [False, False, False, True]
+        second.admin.define_policy("admin", "other", ["(Boss)"])
+        assert not any(stray.exists() for stray in strays)
+        assert [path.read_bytes() for path in kept] == before
+        assert second.mpk == first.mpk
 
     def test_wrong_passphrase_rejected(self, tmp_path):
         Deployment(tmp_path / "d", "right", clock=ManualClock(), allowlist=ALLOW)
@@ -779,6 +802,38 @@ class TestDamagedStoreFiles:
         with pytest.raises(StoreFailure, match="policy vc corrupt"):
             owner.publish(b"data", parse_policy("(Staff)"), "vc",
                           deployment.client("internal"))
+
+
+    def test_directory_named_like_a_segment_is_skipped(self, deployment):
+        """A directory under ``ct/`` whose name ends in ``.json`` is no
+        segment: a fresh deployment still serves the stored records."""
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        record_id = owner.publish(b"data", parse_policy("(Staff)"), "vc",
+                                  deployment.client("internal"))
+        (deployment.data_dir / "ct" / "bogus.json").mkdir()
+        reopened = Deployment(deployment.data_dir, "operator-secret", clock=ManualClock(1_000))
+        key = reopened.issue_key("alice", ["Mechanic", "Staff", "Boss"])
+        assert Consumer(reopened.mpk, key).fetch_and_decrypt(
+            record_id, reopened.client("external")) == b"data"
+        assert reopened.ct_store.ids() == [record_id]
+
+    def test_segment_that_cannot_be_opened_fails_a_fetch(self, deployment, monkeypatch):
+        """A segment that cannot be opened, here for want of descriptors,
+        makes a fetch raise StoreFailure naming it."""
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        record_id = owner.publish(b"data", parse_policy("(Staff)"), "vc",
+                                  deployment.client("internal"))
+        reopened = Deployment(deployment.data_dir, "operator-secret", clock=ManualClock(1_000))
+        ct_dir, real_open = str(deployment.data_dir / "ct"), os.open
+
+        def open_(path, flags, *args, **kwargs):
+            if os.path.dirname(path) == ct_dir and str(path).endswith(".json"):
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", open_)
+        with pytest.raises(StoreFailure, match="read of .*/ct/.*Too many open files"):
+            reopened.client("external").request("GET /ct/{id}", {"id": record_id})
 
 
 class TestTimeGate:

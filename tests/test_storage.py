@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -464,27 +465,48 @@ class TestSegments:
             assert [(r.ct, r.policy_version) for r in map(reader.get, (first.id, second.id))] \
                 == [(b"first v2", 2), (b"1", 1)]
 
-    def test_reader_holding_a_replaced_segment_leaves_the_index_current(self, tmp_path):
-        """A read that opened the segment before a pass renamed its rewrite
-        over it, and indexes it during the next pass, reads the old file
-        without putting its offsets in the index that pass replaces by."""
+    def test_a_pass_on_one_policy_leaves_the_index_of_another(self, tmp_path, monkeypatch):
+        """After a pass on one policy, neither the store that ran it nor
+        another store parses an entry of another policy's segment again to
+        read a record there; no pass writes to ``.relayer.lock``."""
         clock = ManualClock()
-        store = CtStore(tmp_path)
-        first = store.put_new(b"first", 0, "vc", 1, clock)
-        (path,) = tmp_path.glob("*.json")
-        with open(path, "rb") as stale:
-            with store.pass_lock() as group:
-                store.update(group, store.get(first.id), b"first, longer v2", 0, 2, clock)
-            second = store.put_new(b"second", 0, "vc", 2, clock)
-            with store.pass_lock() as group:
-                records = store.by_policy("vc")
-                with store._lock:
-                    assert store._refresh(path, stale).entries == {first.id: 0}
-                for record in records:
-                    store.update(group, record, record.ct + b" v3", 0, 3, clock)
-        for reader in (store, CtStore(tmp_path)):
-            assert [(r.ct, r.policy_version) for r in map(reader.get, (first.id, second.id))] \
-                == [(b"first, longer v2 v3", 3), (b"second v3", 3)]
+        store, reader = CtStore(tmp_path), CtStore(tmp_path)
+        renewed = [store.put_new(b"a%d" % i, 0, "vc-a", 1, clock) for i in range(3)]
+        kept = store.put_new(b"b", 0, "vc-b", 1, clock)
+        assert [reader.get(r.id) for r in renewed + [kept]] == renewed + [kept]
+        with store.pass_lock() as group:
+            for record in store.by_policy("vc-a"):
+                store.update(group, record, record.ct + b" v2", 0, 2, clock)
+        parsed = []
+        real_entry_identity = CtStore._entry_identity
+
+        def counting_entry_identity(*args):
+            parsed.append(args)
+            return real_entry_identity(*args)
+
+        monkeypatch.setattr(CtStore, "_entry_identity", staticmethod(counting_entry_identity))
+        for each in (store, reader):
+            assert each.get(kept.id) == kept
+        assert parsed == []
+        assert [reader.get(r.id).ct for r in renewed] == [r.ct + b" v2" for r in renewed]
+        assert (tmp_path / ".relayer.lock").stat().st_size == 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dropped_stores_close_the_segments_they_held(self, tmp_path):
+        """Each store holds every segment it has read open, and closes them
+        all when it is dropped."""
+        clock = ManualClock()
+        records = [CtStore(tmp_path).put_new(name.encode(), 0, name, 1, clock)
+                   for name in ("vc-a", "vc-b")]
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        stores = [CtStore(tmp_path) for _ in range(200)]
+        for store in stores:
+            assert [store.get(r.id) for r in records] == records
+        assert len(os.listdir("/proc/self/fd")) >= before + 2 * len(stores)
+        del stores, store
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 # Contents that do not decode to a record, a policy definition, an
