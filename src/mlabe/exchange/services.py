@@ -245,19 +245,23 @@ class InternalCtEngine:
         ones and only the rest is replaced, with the bytes of a full
         re-layer; a record whose layers all match only takes the version.
 
-        The replacements stream into one rewrite of the policy's segment,
-        which is fsynced and renamed over it when the pass lock is
-        released, before this returns. If the pass fails part-way, the
-        records re-layered before the failure are committed and the error
-        propagates; if that commit fails, none is.
+        Each record is re-layered as the store's scan reads it, so the pass
+        holds one record and its replacement at a time, not the whole
+        policy. The replacements stream into one rewrite of the policy's
+        segment, which is fsynced and renamed over it when the pass lock
+        is released, before this returns. If the pass fails part-way, the
+        records re-layered before the failure are committed, no further
+        record is read, and the error propagates; if that commit fails,
+        none is.
         """
         with self._ct_store.pass_lock() as group:
             policies, version = self._stored_layer_policies(policy_name)
             texts = [policy.canonical() for policy in policies]
             updated = []
-            for record in self._ct_store.by_policy(policy_name):
+
+            def relayer(record: CtRecord) -> None:
                 if record.policy_version >= version:
-                    continue
+                    return
                 ct = HybridCiphertext.from_bytes(record.ct)
                 keep = 0
                 for stored, text in zip(ct.ct_abe.layer_policies, texts):
@@ -271,6 +275,8 @@ class InternalCtEngine:
                 self._ct_store.update(group, record, new_ct.to_bytes(),
                                       new_ct.n_layers, version, self._clock)
                 updated.append(record.id)
+
+            self._ct_store.by_policy(policy_name, relayer)
             return updated
 
     def routes(self) -> dict:

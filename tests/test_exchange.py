@@ -37,9 +37,9 @@ from mlabe.errors import (
     StoreFailure,
     Unauthorized,
 )
-from mlabe.exchange import transport
+from mlabe.exchange import storage, transport
 from mlabe.exchange.services import Consumer, DataOwner, Deployment
-from mlabe.exchange.storage import ManualClock
+from mlabe.exchange.storage import CtRecord, ManualClock
 from mlabe.exchange.transport import (
     LocalClient,
     ServiceClient,
@@ -323,7 +323,9 @@ class TestPublish:
         with pytest.raises(RecordConflict, match="under another policy"):
             client.request("POST /publish", {"ct1": ct1, "policy_name": "vc-copy"})
         assert deployment.ct_store.get(first["id"]).policy_name == "vc"
-        assert deployment.ct_store.by_policy("vc-copy") == []
+        visited: list[CtRecord] = []
+        deployment.ct_store.by_policy("vc-copy", visited.append)
+        assert visited == []
 
     def test_engine_unreachable_when_connect_fails(self, deployment, monkeypatch):
         """A failed connect raises at once: it is tried exactly once."""
@@ -519,6 +521,64 @@ class TestPolicyUpdate:
             "POST /notify", {"policy_name": "vc"})
         assert result == {"updated": ids[1:]}
         assert [deployment.ct_store.get(i).policy_version for i in ids] == [2, 2, 2]
+
+    @staticmethod
+    def _publish_under_vc_and_other(deployment, count: int, size: int) -> None:
+        """Publish `count` records of `size` bytes under each of vc and a
+        second policy, other."""
+        deployment.admin.define_policy("admin", "other", ["(Staff)"])
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        for i in range(count):
+            for name in ("vc", "other"):
+                owner.publish((b"%s %d" % (name.encode(), i)).ljust(size, b"."),
+                              parse_policy("(Staff)"), name, deployment.client("internal"))
+
+    def test_a_pass_holds_one_record_at_a_time(self, deployment):
+        """A pass re-layers each record as the scan reads it, so what it
+        holds in memory at its peak is a few records, not the policy's
+        forty."""
+        import tracemalloc
+
+        size = 64 * 1024
+        self._publish_under_vc_and_other(deployment, 40, size)
+        tracemalloc.start()
+        try:
+            result = deployment.admin.update_policy("admin", "vc", ["(Boss)"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result["updated"]) == 40
+        assert peak < 10 * size
+
+    def test_a_pass_reads_no_record_after_a_failed_relayer(self, deployment, monkeypatch):
+        """A re-layer that fails on the second record of the policy ends the
+        pass: the scan has read the records up to that one in id order,
+        and reads none after it."""
+        import mlabe.exchange.services as services
+
+        self._publish_under_vc_and_other(deployment, 3, 16)
+        store = deployment.ct_store
+        all_ids = store.ids()
+        second_vc = [i for i in all_ids if store.get(i).policy_name == "vc"][1]
+        events: list[tuple[str, str | None]] = []
+        real_get, real_update = store.get, services.update_outer_layers
+
+        def recording_get(record_id):
+            events.append(("get", record_id))
+            return real_get(record_id)
+
+        def failing_second(*args, **kwargs):
+            events.append(("relayer", None))
+            if events.count(("relayer", None)) == 2:
+                raise OSError("simulated failure")
+            return real_update(*args, **kwargs)
+        monkeypatch.setattr(store, "get", recording_get)
+        monkeypatch.setattr(services, "update_outer_layers", failing_second)
+        with pytest.raises(OSError, match="simulated failure"):
+            deployment.admin.update_policy("admin", "vc", ["(Boss)"])
+        monkeypatch.undo()
+        assert [i for kind, i in events if kind == "get"] == [i for i in all_ids if i <= second_vc]
+        assert events[-2:] == [("get", second_vc), ("relayer", None)]
 
     @staticmethod
     def _three_records_behind(deployment) -> list[str]:
@@ -803,6 +863,18 @@ class TestDamagedStoreFiles:
             owner.publish(b"data", parse_policy("(Staff)"), "vc",
                           deployment.client("internal"))
 
+    def test_directory_named_like_a_policy_fails_only_that_policy(self, deployment):
+        """A directory at a policy's path is no policy: a publish under that
+        name raises StoreFailure naming the path, and a publish under
+        another policy still works."""
+        bad = deployment.data_dir / "policies" / storage._file_name("bad")
+        bad.mkdir()
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        client = deployment.client("internal")
+        with pytest.raises(StoreFailure, match=f"read of {bad} failed: not a regular file"):
+            owner.publish(b"data", parse_policy("(Staff)"), "bad", client)
+        record_id = owner.publish(b"data", parse_policy("(Staff)"), "vc", client)
+        assert deployment.ct_store.get(record_id).policy_name == "vc"
 
     def test_directory_named_like_a_segment_is_skipped(self, deployment):
         """A directory under ``ct/`` whose name ends in ``.json`` is no
@@ -955,7 +1027,8 @@ class TestTimeGate:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         assert results == [plaintext] * 8
         assert deployment.ct_store.get(record_id).ct == before

@@ -152,7 +152,9 @@ class TestCtStore:
         store.put_new(b"one", 0, "vc", 1, clock)
         store.put_new(b"two", 0, "other", 1, clock)
         store.put_new(b"three", 0, "vc", 1, clock)
-        assert {r.ct for r in store.by_policy("vc")} == {b"one", b"three"}
+        visited: list[CtRecord] = []
+        store.by_policy("vc", visited.append)
+        assert {r.ct for r in visited} == {b"one", b"three"}
 
     def test_reads_during_a_pass_see_old_or_new_records(self, tmp_path, monkeypatch):
         """A reader taking no lock, running before, during and after the
@@ -192,10 +194,12 @@ class TestCtStore:
         thread = threading.Thread(target=reader)
         thread.start()
         assert first_loop.wait(timeout=10)
-        with store.pass_lock() as group:
-            for record in store.by_policy("vc"):
-                store.update(group, record, new[record.id], 0, 2, clock)
-        done.set()
+        try:
+            with store.pass_lock() as group:
+                store.by_policy("vc", lambda record: store.update(
+                    group, record, new[record.id], 0, 2, clock))
+        finally:
+            done.set()  # a failed pass must not leave the reader looping
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert errors == []
@@ -241,9 +245,10 @@ class TestSegments:
         assert len(segment_entries(path.read_bytes())) == 3
         assert CtStore(tmp_path).get(twice.id).created_at == 11
         with store.pass_lock() as group:
-            for record in store.by_policy("vc"):
+            def relayer(record):
                 if record.policy_version < 2:
                     store.update(group, record, b"behind v2", 0, 2, clock)
+            store.by_policy("vc", relayer)
         assert sorted(segment_entries(path.read_bytes())) == sorted(
             [twice.to_bytes(), dataclasses.replace(
                 behind, ct=b"behind v2", policy_version=2, updated_at=11,
@@ -279,9 +284,10 @@ class TestSegments:
 
         def relayer(store):
             with store.pass_lock() as group:
-                for record in store.by_policy("vc"):
+                def relayer_one(record):
                     if record.policy_version < 2:
                         store.update(group, record, record.ct + b" v2", 0, 2, clock)
+                store.by_policy("vc", relayer_one)
 
         def publish(k):
             try:
@@ -333,7 +339,9 @@ class TestSegments:
         with pytest.raises(RecordConflict, match="under another policy"):
             CtStore(tmp_path).put_new(b"same", 0, "other", 1, clock)
         assert (tmp_path / storage._file_name("other")).read_bytes() == b""
-        assert CtStore(tmp_path).by_policy("vc") == [record]
+        visited: list[CtRecord] = []
+        CtStore(tmp_path).by_policy("vc", visited.append)
+        assert visited == [record]
 
     def test_racing_publishes_of_one_id_under_two_policies_store_it_once(
             self, tmp_path, monkeypatch):
@@ -428,9 +436,8 @@ class TestSegments:
         assert [store.get(r.id) for r in records] == records
         for version in (2, 3):
             with other.pass_lock() as group:
-                for record in other.by_policy("vc"):
-                    other.update(group, record, record.ct + b" v%d" % version * version,
-                                 0, version, clock)
+                other.by_policy("vc", lambda record: other.update(
+                    group, record, record.ct + b" v%d" % version * version, 0, version, clock))
         for record in records:
             assert store.get(record.id).ct == record.ct + b" v2" * 2 + b" v3" * 3
 
@@ -475,8 +482,8 @@ class TestSegments:
         kept = store.put_new(b"b", 0, "vc-b", 1, clock)
         assert [reader.get(r.id) for r in renewed + [kept]] == renewed + [kept]
         with store.pass_lock() as group:
-            for record in store.by_policy("vc-a"):
-                store.update(group, record, record.ct + b" v2", 0, 2, clock)
+            store.by_policy("vc-a", lambda record: store.update(
+                group, record, record.ct + b" v2", 0, 2, clock))
         parsed = []
         real_entry_identity = CtStore._entry_identity
 
@@ -654,6 +661,15 @@ class TestPolicyStore:
     def test_missing(self, tmp_path):
         with pytest.raises(NotFound):
             PolicyStore(tmp_path).get("nope")
+
+    def test_names_lists_only_policy_files(self, tmp_path):
+        """A directory named like a policy's file, and a file whose name is
+        not the file name of any policy, are no policies."""
+        store = PolicyStore(tmp_path)
+        store.define("vc", ["(A)"], ManualClock())
+        (tmp_path / storage._file_name("bad")).mkdir()
+        (tmp_path / "!!.json").write_bytes(b"{}")
+        assert store.names() == ["vc"]
 
     def test_definitions_through_two_stores_all_land(self, tmp_path, monkeypatch):
         """A definition through one store that starts while another store is
