@@ -142,10 +142,6 @@ class StoreFailure(ExchangeError):
     """Persistent store rejected or lost a write."""
 
 
-class RecordConflict(ExchangeError):
-    """The ciphertext to store is already stored under another policy."""
-
-
 # ---------------------------------------------------------------------------
 # Bench / CLI
 # ---------------------------------------------------------------------------

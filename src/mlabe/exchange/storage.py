@@ -19,10 +19,9 @@ migration; republish such a data directory.
 
 - **Publish** (``put_new``) takes the segment's exclusive ``flock``,
   cuts an unterminated tail that a dead writer left, appends one entry
-  and ``fdatasync``s it. Each record id lives in one segment: the check
-  that no other segment holds the id and the append run under
-  ``.publish.lock``, which every store on the directory takes, so two
-  publishes of one container under two policies never both append.
+  and ``fdatasync``s it. It touches no other segment and takes no lock
+  shared by the directory, so publishes under two policies never wait
+  for one another.
 - **Re-layer pass.** The engine's pass scans the records of one policy
   (``by_policy``), which hands each record to the pass as soon as it is
   read and verified, and rewrites only those whose ``policy_version`` is
@@ -39,27 +38,28 @@ migration; republish such a data directory.
   directory fsync per pass, whatever the number of records. The rewrite
   is also the compaction: only the last entry of each record survives.
   A commit that fails leaves the segment as it was.
-- **Reads** take no lock. ``get`` reads through an index of record id to
-  segment offset that, like ``SecurityEventLog``, parses only the bytes
-  appended since the last read, and rescans the directory before raising
-  ``NotFound``. A store holds each segment it has indexed open
-  (``_Segment``), so a new inode at its path shows a pass's rename: the
-  new file is opened and indexed from its start. A segment file is only
-  ever appended to or replaced whole by rename, so a reader sees each
-  record before or after a pass, whole and digest-verified. A segment
-  that cannot be opened or read, for want of descriptors too, raises
-  ``StoreFailure``.
+- **Reads** take no lock. ``get`` finds the segment in the id itself,
+  then reads it through an index of record id to segment offset that,
+  like ``SecurityEventLog``, parses only the bytes appended since the
+  last read: an unchanged segment costs one ``stat``, and an id whose
+  segment does not exist is ``NotFound`` with no scan. A store holds each
+  segment it has indexed open (``_Segment``), so a new inode at its path
+  shows a pass's rename: the new file is opened and indexed from its
+  start. A segment file is only ever appended to or replaced whole by
+  rename, so a reader sees each record before or after a pass, whole and
+  digest-verified. A segment that cannot be opened or read, for want of
+  descriptors too, raises ``StoreFailure``.
 
-Records are content-addressed by the hash of the container bytes at
-publication; that id stays the record's stable handle across policy
-updates, while a separate digest always tracks the current bytes and is
-verified on every read, as is the id the entry names. Damage stays in
-its segment: an entry that cannot be read, or whose header names
-another policy than its segment, makes reads of that segment, publishes
-to it and ``ids`` raise ``StoreFailure``, and a fetch of an id that no
-readable segment holds raise it rather than ``NotFound``; other
-segments' records stay readable and writable. An id found in two
-segments raises ``StoreFailure`` on reads of that id alone.
+A record id is its segment's stem (the file name without ``.json``),
+``.``, then the SHA-256 hex of the container bytes at publication; ``.``
+is outside the stem's URL-safe base64 alphabet. The id stays the
+record's handle across policy updates, while a separate digest tracks
+the current bytes and is verified on every read, as is the id the entry
+names. One container published under two policies is two records.
+Damage stays in its segment: an entry that cannot be read, or whose
+header names another policy or an id not of its segment (as the bare
+SHA-256 ids of an earlier layout are not), makes reads of that segment,
+publishes to it and ``ids`` raise ``StoreFailure``.
 Policy definitions and incident appends hold the same kind of lock
 (``_exclusive``) across their read-modify-write.
 """
@@ -69,10 +69,13 @@ from __future__ import annotations
 import base64
 import contextlib
 import dataclasses
+import errno
 import fcntl
 import hashlib
 import json
 import os
+import re
+import reprlib
 import stat
 import struct
 import tempfile
@@ -83,7 +86,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, Protocol, get_args, get_origin
 
-from ..errors import NotFound, RecordConflict, StoreFailure
+from ..errors import NotFound, StoreFailure
 from .transport import decode_frame, encode_frame
 
 
@@ -214,6 +217,10 @@ _RECORD_TYPES = {"id": str, "ct": bytes, "n_layers": int, "created_at": int,
 
 _U32 = struct.Struct(">I")
 
+# A record id: its segment's stem, ``.``, then the SHA-256 hex of its
+# container at publication.
+_RECORD_ID = re.compile(r"([A-Za-z0-9_-]*)\.[0-9a-f]{64}")
+
 
 @contextlib.contextmanager
 def _locked_segment(path: Path) -> Iterator[BinaryIO]:
@@ -294,16 +301,15 @@ class _Rewrite:
 
 
 class CtStore:
-    """Content-addressed ciphertext records in one append-only segment
-    per policy, read through an index of record id to segment offset."""
+    """Ciphertext records in one append-only segment per policy, each
+    under an id that starts with its segment's stem, read through an
+    index of record id to segment offset."""
 
     def __init__(self, root: Path):
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()  # guards the index below
         self._segments: dict[Path, _Segment] = {}
-        self._where: dict[str, Path] = {}  # record id -> its segment
-        self._conflicts: dict[str, str] = {}  # record id found in two segments -> why
 
     def _segment_path(self, policy_name: str) -> Path:
         return self._root / _file_name(policy_name)
@@ -315,20 +321,21 @@ class CtStore:
         A file at `path` with another inode than the one held (a pass has
         renamed a rewrite over it), or one shorter than what was indexed,
         is opened and indexed from its start. An unchanged file costs one
-        ``stat``.
+        ``stat``; no regular file at `path` is no segment: NotFound.
 
         An unterminated last entry (fewer bytes than its length says, or
         zeros) is a torn tail: it is skipped, and the offset stays at the
         end of the whole entries before it. An entry that cannot be read,
-        or whose header names another policy, is damage: indexing stops
-        before it and ``damage`` says why, so reads and writes of this
-        segment raise while other segments stay usable. An id found in
-        two segments is a conflict that only reads of that id raise. A
-        record file of an earlier layout, or a file that cannot be opened
-        or read, raises StoreFailure.
+        or whose header names another policy or an id not of this
+        segment, is damage: indexing stops before it and ``damage`` says
+        why, so reads and writes of this segment raise while other
+        segments stay usable. A record file of an earlier layout, or a
+        file that cannot be opened or read, raises StoreFailure.
         """
         try:
             st = os.stat(path)
+            if not stat.S_ISREG(st.st_mode):
+                raise NotFound(f"no such record segment: {reprlib.repr(path.name)}")
             segment = self._segments.get(path)
             if segment is None or segment.inode != st.st_ino or st.st_size < segment.end:
                 segment = self._segments[path] = _Segment(path)
@@ -349,15 +356,20 @@ class CtStore:
                     if type(policy_name) is not str or _file_name(policy_name) != path.name:
                         raise StoreFailure(f"record {record_id} corrupt: its entry at byte "
                                            f"{offset} of {path} names policy {policy_name!r}")
+                    named = _RECORD_ID.fullmatch(record_id)
+                    if named is None or named[1] + ".json" != path.name:
+                        raise StoreFailure(
+                            f"record {record_id} corrupt: its entry at byte {offset} of {path} "
+                            "names no record of this segment (a bare SHA-256 id is of an earlier "
+                            "layout, which this store does not read; republish such a directory)")
                 except StoreFailure as exc:
                     segment.damage = str(exc)
                     break
-                if self._where.setdefault(record_id, path) != path:
-                    self._conflicts[record_id] = (f"record {record_id} corrupt: stored in "
-                                                  f"{self._where[record_id]} and {path}")
                 segment.entries[record_id] = offset
                 offset = segment.end = offset + _U32.size + length
         except OSError as exc:
+            if exc.errno in (errno.ENOENT, errno.ENAMETOOLONG):
+                raise NotFound(f"no such record segment: {reprlib.repr(path.name)}") from None
             raise StoreFailure(f"read of {path} failed: {exc}") from exc
         return segment
 
@@ -396,43 +408,35 @@ class CtStore:
 
     def put_new(self, ct: bytes, n_layers: int, policy_name: str,
                 policy_version: int, clock: LogicalClock) -> CtRecord:
-        """Append a record to its policy's segment and ``fdatasync`` it.
+        """Append a record to its policy's segment and ``fdatasync`` it;
+        its id is the segment's stem, ``.``, then the container's SHA-256.
 
         Under the segment's flock, a torn tail that a dead writer left is
-        cut before the append. Each id lives in one segment: the check
-        that no other segment holds it and the append run under
-        ``.publish.lock``, which every store on the directory takes, so
-        two publishes of one container under two policies cannot both
-        append; the later raises RecordConflict. A damaged segment is not
-        appended to.
+        cut before the append. No other segment is read, and no lock
+        beyond the segment's is taken. A damaged segment is not appended
+        to.
         """
-        record_id = content_id(ct)
+        digest = content_id(ct)
+        path = self._segment_path(policy_name)
         now = clock.now()
         record = CtRecord(
-            id=record_id, ct=ct, n_layers=n_layers,
+            id=f"{path.name.removesuffix('.json')}.{digest}", ct=ct, n_layers=n_layers,
             created_at=now, updated_at=now,
             policy_name=policy_name, policy_version=policy_version,
-            content_digest=record_id,
+            content_digest=digest,
         )
-        path = self._segment_path(policy_name)
         entry = record.to_bytes()
         try:
             with _locked_segment(path) as handle:
-                with _exclusive(self._root / ".publish.lock"):
-                    self._rescan()
-                    with self._lock:
-                        segment = self._refresh(path)
-                        owner = self._where.get(record_id, path)
-                    if segment.damage is not None:
-                        raise StoreFailure(segment.damage)
-                    if owner != path:
-                        raise RecordConflict(
-                            f"record {record_id} is stored under another policy")
-                    end = segment.end
-                    if handle.seek(0, os.SEEK_END) > end:
-                        handle.truncate(end)
-                    handle.write(_U32.pack(len(entry)) + entry)
-                    handle.flush()
+                with self._lock:
+                    segment = self._refresh(path)
+                if segment.damage is not None:
+                    raise StoreFailure(segment.damage)
+                end = segment.end
+                if handle.seek(0, os.SEEK_END) > end:
+                    handle.truncate(end)
+                handle.write(_U32.pack(len(entry)) + entry)
+                handle.flush()
                 os.fdatasync(handle.fileno())
                 if end == 0:
                     _fsync(self._root)  # the segment may be new: sync its name
@@ -502,19 +506,12 @@ class CtStore:
             raise StoreFailure(f"rewrite of {path} failed: {exc}") from exc
 
     def get(self, record_id: str) -> CtRecord:
-        if type(record_id) is not str:
-            raise NotFound(f"no such ciphertext record: {record_id!r}")
-        path = self._where.get(record_id)
-        if path is None:
-            self._rescan()
-            path = self._where.get(record_id)
-            if path is None:
-                damage = self._damage()
-                if damage is not None:  # the record may be past the damage
-                    raise StoreFailure(f"record {record_id} not readable: {damage}")
-                raise NotFound(f"no such ciphertext record: {record_id}")
-        if record_id in self._conflicts:
-            raise StoreFailure(self._conflicts[record_id])
+        """The record of `record_id`, read from the one segment its id
+        names; an id not of that form is NotFound."""
+        named = _RECORD_ID.fullmatch(record_id) if type(record_id) is str else None
+        if named is None:
+            raise NotFound(f"no such ciphertext record: {reprlib.repr(record_id)}")
+        path = self._root / (named[1] + ".json")
         with self._lock:
             segment = self._refresh(path)
         if segment.damage is not None:
@@ -574,7 +571,7 @@ class CtStore:
         if damage is not None:
             raise StoreFailure(damage)
         with self._lock:
-            return sorted(self._where)
+            return sorted(i for segment in self._segments.values() for i in segment.entries)
 
     def by_policy(self, policy_name: str, visit: Callable[[CtRecord], None]) -> None:
         """Call `visit` with each record of the named policy, in id order,

@@ -33,13 +33,12 @@ from mlabe.errors import (
     NotFound,
     PolicySyntaxError,
     PolicyUnsatisfied,
-    RecordConflict,
     StoreFailure,
     Unauthorized,
 )
 from mlabe.exchange import storage, transport
 from mlabe.exchange.services import Consumer, DataOwner, Deployment
-from mlabe.exchange.storage import CtRecord, ManualClock
+from mlabe.exchange.storage import ManualClock
 from mlabe.exchange.transport import (
     LocalClient,
     ServiceClient,
@@ -286,7 +285,7 @@ class TestPublish:
                                   "vc", deployment.client("internal"))
         import hashlib
         record = deployment.ct_store.get(record_id)
-        assert hashlib.sha256(record.ct).hexdigest() == record_id
+        assert hashlib.sha256(record.ct).hexdigest() == record_id.partition(".")[2]
 
     def test_unknown_policy_name(self, deployment):
         owner = DataOwner(deployment.mpk, make_rng("do"))
@@ -311,21 +310,25 @@ class TestPublish:
             "POST /policy", {"name": "vc", "layers": ["(Boss)"]})
         assert deployment.policy_store.get("vc").version == 2
 
-    def test_ct1_published_under_two_policies_with_equal_layers_is_refused(
+    def test_ct1_under_two_policies_with_equal_layers_is_two_records(
             self, deployment):
         """Layer addition is deterministic, so one CT_1 under two policies
-        with equal layers is one stored container: the second publish is
-        refused with RecordConflict, and the record keeps its policy."""
+        with equal layers is one container, stored as two records with two
+        ids; each reads, and only its own policy's pass re-layers it."""
         deployment.admin.define_policy("admin", "vc-copy", ["(Staff)", "(Mechanic OR Boss)"])
         ct1 = DataOwner(deployment.mpk, make_rng("do")).encrypt(b"data", parse_policy("(Staff)"))
         client = deployment.client("internal")
-        first = client.request("POST /publish", {"ct1": ct1, "policy_name": "vc"})
-        with pytest.raises(RecordConflict, match="under another policy"):
-            client.request("POST /publish", {"ct1": ct1, "policy_name": "vc-copy"})
-        assert deployment.ct_store.get(first["id"]).policy_name == "vc"
-        visited: list[CtRecord] = []
-        deployment.ct_store.by_policy("vc-copy", visited.append)
-        assert visited == []
+        ids = {name: client.request("POST /publish", {"ct1": ct1, "policy_name": name})["id"]
+               for name in ("vc", "vc-copy")}
+        records = {name: deployment.ct_store.get(ids[name]) for name in ids}
+        assert ids["vc"] != ids["vc-copy"] and records["vc"].ct == records["vc-copy"].ct
+        admin = deployment.client("admin", caller="admin")
+        assert admin.request("POST /policy", {"name": "vc", "layers": ["(Boss)"]})["updated"] \
+            == [ids["vc"]]
+        assert deployment.ct_store.get(ids["vc-copy"]) == records["vc-copy"]
+        assert admin.request("POST /policy", {"name": "vc-copy", "layers": ["(Mechanic)"]})[
+            "updated"] == [ids["vc-copy"]]
+        assert [deployment.ct_store.get(ids[name]).policy_version for name in ids] == [2, 2]
 
     def test_engine_unreachable_when_connect_fails(self, deployment, monkeypatch):
         """A failed connect raises at once: it is tried exactly once."""
@@ -878,7 +881,8 @@ class TestDamagedStoreFiles:
 
     def test_directory_named_like_a_segment_is_skipped(self, deployment):
         """A directory under ``ct/`` whose name ends in ``.json`` is no
-        segment: a fresh deployment still serves the stored records."""
+        segment: a fresh deployment still serves the stored records, and a
+        fetch of an id that names it misses."""
         owner = DataOwner(deployment.mpk, make_rng("do"))
         record_id = owner.publish(b"data", parse_policy("(Staff)"), "vc",
                                   deployment.client("internal"))
@@ -888,6 +892,8 @@ class TestDamagedStoreFiles:
         assert Consumer(reopened.mpk, key).fetch_and_decrypt(
             record_id, reopened.client("external")) == b"data"
         assert reopened.ct_store.ids() == [record_id]
+        with pytest.raises(NotFound):
+            reopened.client("external").request("GET /ct/{id}", {"id": "bogus." + "ab" * 32})
 
     def test_segment_that_cannot_be_opened_fails_a_fetch(self, deployment, monkeypatch):
         """A segment that cannot be opened, here for want of descriptors,
@@ -909,11 +915,27 @@ class TestDamagedStoreFiles:
 
 
 class TestTimeGate:
-    @pytest.mark.parametrize("record_id", [5, ["ab"], "", "../config"],
-                             ids=["integer", "list", "empty", "path"])
-    def test_fetch_of_an_id_that_names_no_record_is_not_found(self, deployment, record_id):
-        with pytest.raises(NotFound):
+    @pytest.mark.parametrize("record_id", [
+        5, ["ab"], "", "../config", ".", "a/b." + "ab" * 32, "dmM." + "g" * 64,
+        "A" * (64 * 1024 - 65) + "." + "ab" * 32, "dmM\0." + "ab" * 32],
+        ids=["integer", "list", "empty", "path", "dot", "slash", "not-hex", "64-KiB", "nul"])
+    def test_fetch_of_an_id_that_names_no_record_is_not_found(
+            self, deployment, record_id, monkeypatch):
+        """An id from any caller that names no record misses, without
+        looking at a file outside ``ct/`` or echoing a long id back."""
+        ct_dir, real_stat = str(deployment.data_dir / "ct"), os.stat
+        looked_at = []
+
+        def recording_stat(path, *args, **kwargs):
+            looked_at.append(os.path.dirname(os.path.abspath(path)))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", recording_stat)
+        with pytest.raises(NotFound) as caught:
             deployment.client("external").request("GET /ct/{id}", {"id": record_id})
+        monkeypatch.undo()
+        assert set(looked_at) <= {ct_dir}
+        assert len(str(caught.value)) < 100
 
     def test_no_incident_means_any_key_passes(self, deployment):
         assert deployment.external.time_gate_policy().canonical() == "(T_SK > 0)"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import base64
-import contextlib
 import dataclasses
 import gc
 import json
@@ -18,7 +17,7 @@ import pytest
 
 from support import segment, segment_entries
 
-from mlabe.errors import NotFound, RecordConflict, StoreFailure
+from mlabe.errors import NotFound, StoreFailure
 from mlabe.exchange import storage
 from mlabe.exchange.services import Deployment
 from mlabe.exchange.storage import (
@@ -34,6 +33,11 @@ from mlabe.exchange.storage import (
 from mlabe.exchange.transport import decode_frame, encode_frame
 
 
+def _stem(policy_name: str) -> str:
+    """The stem of a policy's segment, which starts each of its record ids."""
+    return storage._file_name(policy_name).removesuffix(".json")
+
+
 def _replace(path, data: bytes) -> None:
     """Put `data` at `path` as a new file, as a pass's rename does."""
     tmp = path.with_name(path.name + ".new")
@@ -46,10 +50,11 @@ class TestCtStore:
         store = CtStore(tmp_path)
         clock = ManualClock(100)
         record = store.put_new(b"ciphertext-bytes", 2, "vc", 1, clock)
-        assert record.id == content_id(b"ciphertext-bytes")
+        stem, _, digest = record.id.partition(".")
+        assert (stem, digest) == (_stem("vc"), content_id(b"ciphertext-bytes"))
         fetched = store.get(record.id)
         assert fetched.ct == b"ciphertext-bytes"
-        assert fetched.content_digest == record.id
+        assert fetched.content_digest == digest
 
     def test_update_keeps_id_and_tracks_digest(self, tmp_path):
         store = CtStore(tmp_path)
@@ -86,30 +91,37 @@ class TestCtStore:
     def test_record_in_the_old_json_layout_is_refused(self, tmp_path):
         """A record file written before records became frame bodies, one
         JSON object with the container as base64, is refused, not
-        migrated."""
+        migrated, by a fetch of an id whose stem names the file and by the
+        listing of every record."""
         store = CtStore(tmp_path)
         ct = b"stored under the earlier layout"
-        record_id = content_id(ct)
-        (tmp_path / f"{record_id}.json").write_bytes(
+        digest = content_id(ct)
+        (tmp_path / f"{digest}.json").write_bytes(
             b'{"content_digest": "%s", "created_at": 7, "id": "%s", '
             b'"n_layers": 2, "policy_name": "vc", "policy_version": 1, '
             b'"updated_at": 7, "ct_b64": "%s"}'
-            % (record_id.encode(), record_id.encode(), base64.b64encode(ct)))
+            % (digest.encode(), digest.encode(), base64.b64encode(ct)))
         with pytest.raises(StoreFailure, match="earlier layout"):
-            store.get(record_id)
+            store.get(f"{digest}.{digest}")
+        with pytest.raises(StoreFailure, match="earlier layout"):
+            CtStore(tmp_path).ids()
 
     def test_record_in_the_per_record_layout_is_refused(self, tmp_path):
         """A record file left from the layout of one file per record, a
-        bare frame body, is refused by reads and by publishes alike."""
+        bare frame body, is refused by a fetch of an id whose stem names
+        the file and by the listing of every record; a publish, which
+        touches only its own policy's segment, still lands."""
         record = CtRecord(id=content_id(b"old"), ct=b"old", n_layers=0, created_at=7,
                           updated_at=7, policy_name="vc", policy_version=1,
                           content_digest=content_id(b"old"))
         (tmp_path / f"{record.id}.json").write_bytes(record.to_bytes())
         store = CtStore(tmp_path)
         with pytest.raises(StoreFailure, match="earlier layout"):
-            store.get(record.id)
+            store.get(f"{record.id}.{record.id}")
+        published = store.put_new(b"new", 0, "vc", 1, ManualClock())
+        assert CtStore(tmp_path).get(published.id) == published
         with pytest.raises(StoreFailure, match="earlier layout"):
-            store.put_new(b"new", 0, "vc", 1, ManualClock())
+            store.ids()
 
     def test_corruption_detected(self, tmp_path):
         """One flipped byte inside the container's section of a segment
@@ -330,64 +342,124 @@ class TestSegments:
                 record = reader.get(published[k][i])
                 assert (record.ct, record.policy_version) == (b"%d-%d v2" % (k, i), 2)
 
-    def test_id_stored_under_another_policy_is_refused(self, tmp_path):
-        """Each record id lives in one segment: a publish of the same
-        container under a second policy is refused and appends nothing."""
+    def test_one_container_under_two_policies_is_two_records(self, tmp_path):
+        """One container published under two policies is two records with
+        two ids that share the digest part; each reads, and only its own
+        policy's pass re-layers it."""
         clock = ManualClock()
         store = CtStore(tmp_path)
-        record = store.put_new(b"same", 0, "vc", 1, clock)
-        with pytest.raises(RecordConflict, match="under another policy"):
-            CtStore(tmp_path).put_new(b"same", 0, "other", 1, clock)
-        assert (tmp_path / storage._file_name("other")).read_bytes() == b""
-        visited: list[CtRecord] = []
-        CtStore(tmp_path).by_policy("vc", visited.append)
-        assert visited == [record]
+        records = {name: CtStore(tmp_path).put_new(b"same", 0, name, 1, clock)
+                   for name in ("vc", "other")}
+        assert records["vc"].id != records["other"].id
+        assert records["vc"].id.partition(".")[2] == records["other"].id.partition(".")[2]
+        for version, name in enumerate(("vc", "other"), start=2):
+            with store.pass_lock() as group:
+                store.by_policy(name, lambda record: store.update(
+                    group, record, b"same v%d" % version, 0, version, clock))
+            for reader in (store, CtStore(tmp_path)):
+                assert reader.get(records[name].id).ct == b"same v%d" % version
+        for reader in (store, CtStore(tmp_path)):
+            assert [reader.get(records[name].id).policy_version
+                    for name in ("vc", "other")] == [2, 3]
+            assert reader.ids() == sorted(record.id for record in records.values())
 
-    def test_racing_publishes_of_one_id_under_two_policies_store_it_once(
+    def test_racing_publishes_of_one_container_under_two_policies_both_land(
             self, tmp_path, monkeypatch):
         """Two stores publish one container under two policies at once, each
-        held after its check of where the id lives until the other has
-        checked too, or for half a second: one lands, the other is
-        refused, and a fresh store still publishes and fetches."""
+        held after its append until the other has appended too: nothing
+        makes one wait for the other, both land, and a fresh store reads
+        both records."""
         clock = ManualClock()
         stores = [CtStore(tmp_path), CtStore(tmp_path)]
-        barrier = threading.Barrier(2)
-        real_rescan = CtStore._rescan
+        barrier = threading.Barrier(2, timeout=10)
+        real_fdatasync = os.fdatasync
         outcomes: list[object] = []
 
-        def rescan_then_wait(store):
-            real_rescan(store)
-            with contextlib.suppress(threading.BrokenBarrierError):
-                barrier.wait(timeout=0.5)  # the publish lock keeps the other out
+        def meeting_fdatasync(fd):
+            barrier.wait()  # broken if one publish waits for the other
+            real_fdatasync(fd)
 
         def publish(k):
             try:
                 outcomes.append(stores[k].put_new(b"same", 0, ["vc", "other"][k], 1, clock))
-            except RecordConflict as exc:
+            except Exception as exc:  # reported by the assertion below
                 outcomes.append(exc)
 
-        monkeypatch.setattr(CtStore, "_rescan", rescan_then_wait)
+        monkeypatch.setattr(os, "fdatasync", meeting_fdatasync)
         threads = [threading.Thread(target=publish, args=(k,)) for k in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=10)
+            thread.join(timeout=20)
         monkeypatch.undo()
         assert not any(thread.is_alive() for thread in threads)
-        (stored,) = [o for o in outcomes if isinstance(o, CtRecord)]
-        assert [type(o) for o in outcomes].count(RecordConflict) == 1
-        assert sum(len(segment_entries(p.read_bytes())) for p in tmp_path.glob("*.json")) == 1
+        assert [type(o) for o in outcomes] == [CtRecord, CtRecord]
         fresh = CtStore(tmp_path)
-        assert fresh.get(stored.id) == stored
-        later = fresh.put_new(b"later", 0, "other", 1, clock)
-        assert CtStore(tmp_path).get(later.id) == later
-        assert CtStore(tmp_path).ids() == sorted([stored.id, later.id])
+        assert [fresh.get(o.id) for o in outcomes] == outcomes
+        assert {o.policy_name for o in outcomes} == {"vc", "other"}
+        assert fresh.ids() == sorted(o.id for o in outcomes)
+
+    def test_publishes_under_two_policies_racing_a_pass_all_land(self, tmp_path):
+        """Two stores publish one container under two policies, record after
+        record, while a third runs a pass on one of them: every record
+        reads through a fresh store, and each record of the pass's policy
+        is at the new version."""
+        clock = ManualClock()
+        publishers, relayer = [CtStore(tmp_path), CtStore(tmp_path)], CtStore(tmp_path)
+        behind = [publishers[0].put_new(b"behind %d" % i, 0, "vc", 1, clock) for i in range(8)]
+        start = threading.Barrier(3, timeout=10)
+        published: list[CtRecord] = []
+        errors: list[Exception] = []
+
+        def publish(k):
+            try:
+                start.wait()
+                for i in range(10):
+                    published.append(publishers[k].put_new(
+                        b"same %d" % i, 0, ["vc", "other"][k], 2, clock))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        def relayer_one(group, record):
+            if record.policy_version < 2:
+                relayer.update(group, record, record.ct + b" v2", 0, 2, clock)
+
+        def run_pass():
+            try:
+                with relayer.pass_lock() as group:
+                    start.wait()
+                    relayer.by_policy("vc", lambda record: relayer_one(group, record))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=publish, args=(k,)) for k in range(2)]
+            threads.append(threading.Thread(target=run_pass))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        fresh = CtStore(tmp_path)
+        assert [fresh.get(r.id) for r in published] == published
+        assert [(fresh.get(r.id).ct, fresh.get(r.id).policy_version) for r in behind] \
+            == [(r.ct + b" v2", 2) for r in behind]
+        assert fresh.ids() == sorted(r.id for r in behind + published)
+        visited: list[CtRecord] = []
+        fresh.by_policy("vc", visited.append)
+        assert len(visited) == 18 and {r.policy_version for r in visited} == {2}
 
     def test_damaged_segment_leaves_other_policies_working(self, tmp_path):
         """An unreadable entry in one policy's segment makes reads of that
-        segment, publishes to it and listings raise; another policy's
-        records still publish and fetch through a fresh store, and a fetch
-        of an id no readable segment holds raises rather than missing."""
+        segment, publishes to it and listings raise, also a fetch of an id
+        unknown there, as the record may lie past the damage; another
+        policy's records still publish and fetch through a fresh store, and
+        an id unknown under it misses."""
         clock = ManualClock()
         store = CtStore(tmp_path)
         damaged = store.put_new(b"damaged", 0, "vc", 1, clock)
@@ -401,30 +473,115 @@ class TestSegments:
                 reader.put_new(b"more", 0, "vc", 1, clock)
             with pytest.raises(StoreFailure, match="corrupt at byte"):
                 reader.ids()
-            with pytest.raises(StoreFailure, match="not readable"):
-                reader.get("ab" * 32)
+            with pytest.raises(StoreFailure, match="corrupt at byte"):
+                reader.get(f"{_stem('vc')}.{'ab' * 32}")
+            with pytest.raises(NotFound):
+                reader.get(f"{_stem('other')}.{'ab' * 32}")
         fresh = CtStore(tmp_path)
         assert fresh.get(healthy.id) == healthy
         added = fresh.put_new(b"added", 0, "other", 1, clock)
         for reader in (store, fresh, CtStore(tmp_path)):
             assert [reader.get(i) for i in (healthy.id, added.id)] == [healthy, added]
 
-    def test_id_in_two_segments_fails_only_its_reads(self, tmp_path):
-        """An id whose entries lie in two segments, each naming that
-        segment's policy, makes reads of that id raise; other records of
-        both segments still read, and publishes go on."""
+    def test_entry_whose_id_names_another_segment_damages_only_its_own(self, tmp_path):
+        """An entry that names its segment's policy but carries an id of
+        another segment is damage of its own segment only: reads of and
+        publishes to that segment raise, and the other segment's records
+        still read and publish."""
         clock = ManualClock()
         store = CtStore(tmp_path)
-        twice = store.put_new(b"twice", 0, "vc", 1, clock)
+        mine = store.put_new(b"mine", 0, "vc", 1, clock)
         other = store.put_new(b"other", 0, "other", 1, clock)
-        with open(tmp_path / storage._file_name("other"), "ab") as handle:
-            handle.write(segment(dataclasses.replace(twice, policy_name="other").to_bytes()))
+        with open(tmp_path / storage._file_name("vc"), "ab") as handle:
+            handle.write(segment(dataclasses.replace(other, policy_name="vc").to_bytes()))
         fresh = CtStore(tmp_path)
-        with pytest.raises(StoreFailure, match=f"record {twice.id} corrupt: stored in"):
-            fresh.get(twice.id)
-        assert fresh.get(other.id) == other
-        added = fresh.put_new(b"added", 0, "vc", 1, clock)
+        for reader in (store, fresh):
+            with pytest.raises(StoreFailure,
+                               match=f"record {other.id} corrupt.*names no record of this segment"):
+                reader.get(mine.id)
+            assert reader.get(other.id) == other
+        with pytest.raises(StoreFailure, match="names no record of this segment"):
+            fresh.put_new(b"more", 0, "vc", 1, clock)
+        added = fresh.put_new(b"added", 0, "other", 1, clock)
         assert CtStore(tmp_path).get(added.id) == added
+
+    def test_segment_of_bare_sha256_ids_is_refused_while_other_policies_work(self, tmp_path):
+        """A segment written when a record id was the bare SHA-256 of its
+        container is of an earlier layout, refused without migration by
+        reads of it; a bare id names no segment. Another policy publishes
+        and fetches."""
+        clock = ManualClock()
+        old = [CtRecord(id=content_id(ct), ct=ct, n_layers=0, created_at=7, updated_at=7,
+                        policy_name="vc", policy_version=1, content_digest=content_id(ct))
+               for ct in (b"first", b"second")]
+        (tmp_path / storage._file_name("vc")).write_bytes(segment(*(r.to_bytes() for r in old)))
+        store = CtStore(tmp_path)
+        healthy = store.put_new(b"healthy", 0, "other", 1, clock)
+        for reader in (store, CtStore(tmp_path)):
+            for record in old:
+                with pytest.raises(StoreFailure, match="earlier layout"):
+                    reader.get(f"{_stem('vc')}.{record.id}")
+                with pytest.raises(NotFound):
+                    reader.get(record.id)
+            with pytest.raises(StoreFailure, match="earlier layout"):
+                reader.put_new(b"new", 0, "vc", 1, clock)
+            assert reader.get(healthy.id) == healthy
+        with pytest.raises(StoreFailure, match="earlier layout"):
+            CtStore(tmp_path).ids()
+
+    def test_fetch_of_an_unknown_id_among_fifty_segments_scans_nothing(
+            self, tmp_path, monkeypatch):
+        """In a directory of 50 segments, a fetch of an unknown id under a
+        segment's stem misses without listing the directory, and one under
+        a stem with no segment misses without opening a file either."""
+        clock = ManualClock()
+        for i in range(50):
+            CtStore(tmp_path).put_new(b"%d" % i, 0, f"vc-{i}", 1, clock)
+        calls: list[str] = []
+        real_scandir, real_open = os.scandir, os.open
+
+        def counting_scandir(*args):
+            calls.append("scandir")
+            return real_scandir(*args)
+
+        def counting_open(*args, **kwargs):
+            calls.append("open")
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr(os, "scandir", counting_scandir)
+        monkeypatch.setattr(os, "open", counting_open)
+        for reader in (CtStore(tmp_path), CtStore(tmp_path)):
+            with pytest.raises(NotFound):
+                reader.get(f"{_stem('vc-7')}.{'ab' * 32}")
+            assert "scandir" not in calls
+            calls.clear()
+            with pytest.raises(NotFound):
+                reader.get(f"{_stem('vc-50')}.{'ab' * 32}")
+            assert calls == []
+
+    def test_publish_lists_no_directory_and_takes_no_directory_lock(
+            self, tmp_path, monkeypatch):
+        """A publish reads and locks its own segment only: it lists no
+        directory and leaves no file but the segments."""
+        clock = ManualClock()
+        for name in ("vc-a", "vc-b"):
+            CtStore(tmp_path).put_new(name.encode(), 0, name, 1, clock)
+        scans: list[tuple] = []
+        real_scandir = os.scandir
+
+        def counting_scandir(*args):
+            scans.append(args)
+            return real_scandir(*args)
+
+        monkeypatch.setattr(os, "scandir", counting_scandir)
+        store = CtStore(tmp_path)
+        records = [store.put_new(b"new", 0, "vc-a", 1, clock),
+                   store.put_new(b"new", 0, "vc-c", 1, clock)]
+        monkeypatch.undo()
+        assert scans == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            storage._file_name(name) for name in ("vc-a", "vc-b", "vc-c"))
+        assert [CtStore(tmp_path).get(r.id) for r in records] == records
 
     def test_index_survives_passes_that_reuse_an_inode(self, tmp_path):
         """Two passes through another store may give the second rewrite the
