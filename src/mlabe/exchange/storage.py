@@ -59,7 +59,8 @@ names. One container published under two policies is two records.
 Damage stays in its segment: an entry that cannot be read, or whose
 header names another policy or an id not of its segment (as the bare
 SHA-256 ids of an earlier layout are not), makes reads of that segment,
-publishes to it and ``ids`` raise ``StoreFailure``.
+publishes to it and passes of its policy raise ``StoreFailure``; passes
+of other policies skip it.
 Policy definitions and incident appends hold the same kind of lock
 (``_exclusive``) across their read-modify-write.
 """
@@ -167,10 +168,10 @@ def content_id(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _file_name(name: str) -> str:
-    """The file of a named policy's definition or records: the name's
-    UTF-8 as unpadded URL-safe base64, plus ``.json``."""
-    return base64.urlsafe_b64encode(name.encode("utf-8")).decode("ascii").rstrip("=") + ".json"
+def _stem(name: str) -> str:
+    """The file stem of a named policy's definition and record segment:
+    the name's UTF-8 as unpadded URL-safe base64."""
+    return base64.urlsafe_b64encode(name.encode("utf-8")).decode("ascii").rstrip("=")
 
 
 def _check_types(obj: dict, types: dict[str, Any]) -> None:
@@ -223,7 +224,7 @@ _RECORD_ID = re.compile(r"([A-Za-z0-9_-]*)\.[0-9a-f]{64}")
 
 
 @contextlib.contextmanager
-def _locked_segment(path: Path) -> Iterator[BinaryIO]:
+def _locked_segment(path: str) -> Iterator[BinaryIO]:
     """Hold the exclusive ``flock`` of the segment at `path`, created if
     missing and opened for reading and appending, for the block.
 
@@ -251,7 +252,7 @@ class _Segment:
     object lives: the path names this file exactly while it has that inode.
     """
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str):
         self.fd = os.open(path, os.O_RDONLY)
         weakref.finalize(self, os.close, self.fd)
         self.inode = os.fstat(self.fd).st_ino
@@ -267,9 +268,9 @@ class _Segment:
 
 class _Rewrite:
     """A pass's rewrite of one segment, streamed into a temporary file
-    beside it: the bytes of whole entries written, each entry's offset in
-    the file by record id, and the offset in the segment of the entry
-    each replacement replaces.
+    beside it and indexed as it is written (``segment``, which the commit
+    installs as the segment's index), and the offset in the segment of
+    the entry each replacement replaces.
 
     A segment grows with every publish, so no pass holds it in memory: a
     pass that first read the whole policy into a list grew the heap of
@@ -279,19 +280,22 @@ class _Rewrite:
     2 vCPUs, Python 3.11, glibc malloc).
     """
 
-    def __init__(self, path: Path):
-        fd, self.tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                                        suffix=".tmp")
+    def __init__(self, path: str):
+        fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                                        prefix=os.path.basename(path) + ".", suffix=".tmp")
         self.out = open(fd, "wb")
-        self.end = 0
-        self.entries: dict[str, int] = {}
+        try:
+            self.segment = _Segment(self.tmp)
+        except OSError:
+            self.close()
+            raise
         self.replaces: dict[str, int] = {}
 
     def append(self, record_id: str, entry: bytes) -> None:
         self.out.write(_U32.pack(len(entry)))
         self.out.write(entry)
-        self.entries[record_id] = self.end
-        self.end += _U32.size + len(entry)
+        self.segment.entries[record_id] = self.segment.end
+        self.segment.end += _U32.size + len(entry)
 
     def close(self) -> None:
         """Close the file, and remove it if it was not renamed."""
@@ -309,19 +313,16 @@ class CtStore:
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()  # guards the index below
-        self._segments: dict[Path, _Segment] = {}
+        self._segments: dict[str, _Segment] = {}  # by stem
 
-    def _segment_path(self, policy_name: str) -> Path:
-        return self._root / _file_name(policy_name)
-
-    def _refresh(self, path: Path) -> _Segment:
-        """Index the whole entries appended to the segment at `path` since
+    def _refresh(self, stem: str) -> _Segment:
+        """Index the whole entries appended to the segment of `stem` since
         the last read, and return its index; hold _lock.
 
-        A file at `path` with another inode than the one held (a pass has
+        A file at its path with another inode than the one held (a pass has
         renamed a rewrite over it), or one shorter than what was indexed,
         is opened and indexed from its start. An unchanged file costs one
-        ``stat``; no regular file at `path` is no segment: NotFound.
+        ``stat``; no regular file at its path is no segment: NotFound.
 
         An unterminated last entry (fewer bytes than its length says, or
         zeros) is a torn tail: it is skipped, and the offset stays at the
@@ -332,13 +333,14 @@ class CtStore:
         segments stay usable. A record file of an earlier layout, or a
         file that cannot be opened or read, raises StoreFailure.
         """
+        path = f"{self._root}/{stem}.json"
         try:
             st = os.stat(path)
             if not stat.S_ISREG(st.st_mode):
-                raise NotFound(f"no such record segment: {reprlib.repr(path.name)}")
-            segment = self._segments.get(path)
+                raise NotFound(f"no such record segment: {reprlib.repr(stem + '.json')}")
+            segment = self._segments.get(stem)
             if segment is None or segment.inode != st.st_ino or st.st_size < segment.end:
-                segment = self._segments[path] = _Segment(path)
+                segment = self._segments[stem] = _Segment(path)
                 st = os.fstat(segment.fd)
             offset = segment.end
             while segment.damage is None and st.st_size - offset >= _U32.size:
@@ -353,11 +355,11 @@ class CtStore:
                 try:
                     record_id, policy_name = self._entry_identity(path, segment.fd, head,
                                                                   length, offset)
-                    if type(policy_name) is not str or _file_name(policy_name) != path.name:
+                    if type(policy_name) is not str or _stem(policy_name) != stem:
                         raise StoreFailure(f"record {record_id} corrupt: its entry at byte "
                                            f"{offset} of {path} names policy {policy_name!r}")
                     named = _RECORD_ID.fullmatch(record_id)
-                    if named is None or named[1] + ".json" != path.name:
+                    if named is None or named[1] != stem:
                         raise StoreFailure(
                             f"record {record_id} corrupt: its entry at byte {offset} of {path} "
                             "names no record of this segment (a bare SHA-256 id is of an earlier "
@@ -369,12 +371,12 @@ class CtStore:
                 offset = segment.end = offset + _U32.size + length
         except OSError as exc:
             if exc.errno in (errno.ENOENT, errno.ENAMETOOLONG):
-                raise NotFound(f"no such record segment: {reprlib.repr(path.name)}") from None
+                raise NotFound(f"no such record segment: {reprlib.repr(stem + '.json')}") from None
             raise StoreFailure(f"read of {path} failed: {exc}") from exc
         return segment
 
     @staticmethod
-    def _entry_identity(path: Path, fd: int, head: bytes, length: int,
+    def _entry_identity(path: str, fd: int, head: bytes, length: int,
                         offset: int) -> tuple[str, Any]:
         """The record id and policy name that the header of the entry at
         `offset` of the file open as `fd` names, its first 8 bytes being
@@ -390,22 +392,6 @@ class CtStore:
         except (ValueError, struct.error, RecursionError) as exc:
             raise StoreFailure(f"segment {path} corrupt at byte {offset}: {exc!r}") from exc
 
-    def _rescan(self) -> None:
-        """Index every segment in the directory up to its end; entries that
-        are not regular files are no segments."""
-        try:
-            with os.scandir(self._root) as found, self._lock:
-                for entry in found:
-                    if entry.name.endswith(".json") and entry.is_file():
-                        self._refresh(Path(entry.path))
-        except OSError as exc:
-            raise StoreFailure(f"read of {self._root} failed: {exc}") from exc
-
-    def _damage(self) -> str | None:
-        """Why some segment cannot be read to its end, if one cannot."""
-        with self._lock:
-            return next((s.damage for s in self._segments.values() if s.damage), None)
-
     def put_new(self, ct: bytes, n_layers: int, policy_name: str,
                 policy_version: int, clock: LogicalClock) -> CtRecord:
         """Append a record to its policy's segment and ``fdatasync`` it;
@@ -416,11 +402,11 @@ class CtStore:
         beyond the segment's is taken. A damaged segment is not appended
         to.
         """
-        digest = content_id(ct)
-        path = self._segment_path(policy_name)
+        digest, stem = content_id(ct), _stem(policy_name)
+        path = f"{self._root}/{stem}.json"
         now = clock.now()
         record = CtRecord(
-            id=f"{path.name.removesuffix('.json')}.{digest}", ct=ct, n_layers=n_layers,
+            id=f"{stem}.{digest}", ct=ct, n_layers=n_layers,
             created_at=now, updated_at=now,
             policy_name=policy_name, policy_version=policy_version,
             content_digest=digest,
@@ -429,7 +415,7 @@ class CtStore:
         try:
             with _locked_segment(path) as handle:
                 with self._lock:
-                    segment = self._refresh(path)
+                    segment = self._refresh(stem)
                 if segment.damage is not None:
                     raise StoreFailure(segment.damage)
                 end = segment.end
@@ -441,12 +427,12 @@ class CtStore:
                 if end == 0:
                     _fsync(self._root)  # the segment may be new: sync its name
                 with self._lock:
-                    self._refresh(path)
+                    self._refresh(stem)
         except OSError as exc:
             raise StoreFailure(f"write to {path} failed: {exc}") from exc
         return record
 
-    def update(self, rewrites: dict[Path, _Rewrite], record: CtRecord, ct: bytes,
+    def update(self, rewrites: dict[str, _Rewrite], record: CtRecord, ct: bytes,
                n_layers: int, policy_version: int,
                clock: LogicalClock) -> CtRecord:
         """Stream the replacement of `record`, as just read through `get`,
@@ -462,19 +448,20 @@ class CtStore:
             record, ct=ct, n_layers=n_layers, policy_version=policy_version,
             content_digest=content_id(ct),
             updated_at=max(clock.now(), record.updated_at))
-        path = self._segment_path(record.policy_name)
+        stem = record.id.partition(".")[0]
+        path = f"{self._root}/{stem}.json"
         with self._lock:
-            replaced = self._segments[path].entries[record.id]
+            replaced = self._segments[stem].entries[record.id]
         try:
-            if path not in rewrites:
-                rewrites[path] = _Rewrite(path)
-            rewrites[path].append(record.id, updated.to_bytes())
+            if stem not in rewrites:
+                rewrites[stem] = _Rewrite(path)
+            rewrites[stem].append(record.id, updated.to_bytes())
         except OSError as exc:
             raise StoreFailure(f"rewrite of {path} failed: {exc}") from exc
-        rewrites[path].replaces[record.id] = replaced
+        rewrites[stem].replaces[record.id] = replaced
         return updated
 
-    def _commit(self, path: Path, rewrite: _Rewrite) -> None:
+    def _commit(self, stem: str, rewrite: _Rewrite) -> None:
         """Under the segment's flock, copy into `rewrite` every entry the
         pass did not replace (the records it left alone, and those
         published since it read them), then rename it over the segment.
@@ -482,13 +469,14 @@ class CtStore:
         The file is first cut back to its whole entries, dropping any part
         of one that a failed write left.
         """
+        path = f"{self._root}/{stem}.json"
         try:
             with _locked_segment(path):
                 with self._lock:
-                    segment = self._refresh(path)
+                    segment = self._refresh(stem)
                 if segment.damage is not None:
                     raise StoreFailure(segment.damage)
-                rewrite.out.seek(rewrite.end)
+                rewrite.out.seek(rewrite.segment.end)
                 rewrite.out.truncate()
                 for record_id, offset in sorted(segment.entries.items(),
                                                 key=lambda item: item[1]):
@@ -496,11 +484,9 @@ class CtStore:
                         rewrite.append(record_id, segment.read(offset))
                 rewrite.out.flush()
                 os.fsync(rewrite.out.fileno())
-                renamed = _Segment(rewrite.tmp)
-                renamed.end, renamed.entries = rewrite.end, rewrite.entries
                 os.replace(rewrite.tmp, path)
                 with self._lock:
-                    self._segments[path] = renamed
+                    self._segments[stem] = rewrite.segment
                 _fsync(self._root)
         except OSError as exc:
             raise StoreFailure(f"rewrite of {path} failed: {exc}") from exc
@@ -511,9 +497,8 @@ class CtStore:
         named = _RECORD_ID.fullmatch(record_id) if type(record_id) is str else None
         if named is None:
             raise NotFound(f"no such ciphertext record: {reprlib.repr(record_id)}")
-        path = self._root / (named[1] + ".json")
         with self._lock:
-            segment = self._refresh(path)
+            segment = self._refresh(named[1])
         if segment.damage is not None:
             raise StoreFailure(segment.damage)
         offset = segment.entries.get(record_id)
@@ -522,7 +507,7 @@ class CtStore:
         try:
             data = segment.read(offset)
         except OSError as exc:
-            raise StoreFailure(f"read of {path} failed: {exc}") from exc
+            raise StoreFailure(f"read of {self._root}/{named[1]}.json failed: {exc}") from exc
         try:
             record = CtRecord.from_bytes(data)
             _check_types(vars(record), _RECORD_TYPES)
@@ -536,59 +521,68 @@ class CtStore:
         return record
 
     @contextlib.contextmanager
-    def pass_lock(self) -> Iterator[dict[Path, _Rewrite]]:
+    def pass_lock(self) -> Iterator[dict[str, _Rewrite]]:
         """Hold the exclusive re-layer lock for the duration of the block,
         and yield the segment rewrites that the block's ``update`` calls
         stream into; they commit when the block ends.
 
         Only passes stage files in the record directory, always under this
         lock, so a ``*.tmp`` file found on entry is a killed pass's and is
-        removed. The lock file's name does not end in ``.json``, so ``ids``
-        never reads it. The commit runs under the lock, also when the
-        block raises: the records replaced before the error become durable
-        and visible, then the error propagates. A commit that fails leaves
-        its segment as it was: none of its replacements is written.
+        removed. The lock file's name does not end in ``.json``, so
+        ``by_policy`` never reads it. The commit runs under the lock, also
+        when the block raises: the records replaced before the error become
+        durable and visible, then the error propagates. A commit that fails
+        leaves its segment as it was: none of its replacements is written.
         """
         with _exclusive(self._root / ".relayer.lock"):
             for stray in self._root.glob("*.tmp"):
                 stray.unlink(missing_ok=True)
-            rewrites: dict[Path, _Rewrite] = {}
+            rewrites: dict[str, _Rewrite] = {}  # by stem
             try:
                 yield rewrites
             finally:
                 try:
-                    for path, rewrite in rewrites.items():
-                        self._commit(path, rewrite)
+                    for stem, rewrite in rewrites.items():
+                        self._commit(stem, rewrite)
                 finally:
                     for rewrite in rewrites.values():
                         rewrite.close()
 
-    def ids(self) -> list[str]:
-        """Every record id, sorted; StoreFailure if a segment is damaged,
-        as some ids may be past the damage."""
-        self._rescan()
-        damage = self._damage()
-        if damage is not None:
-            raise StoreFailure(damage)
-        with self._lock:
-            return sorted(i for segment in self._segments.values() for i in segment.entries)
-
     def by_policy(self, policy_name: str, visit: Callable[[CtRecord], None]) -> None:
         """Call `visit` with each record of the named policy, in id order,
         as soon as ``get`` has read and verified it, so a pass holds one
-        record and its replacement at a time, not the whole policy. Every
-        record of the store is read; those of other policies are dropped.
-        An error that `visit` raises ends the scan: no later record is read.
+        record and its replacement at a time. An error that `visit` raises
+        ends the scan: no later record is read.
 
-        The reads run inside this call, not in a generator that the caller
-        drives: the served benchmark's tracer counts a ``get`` as a scan
-        read only when its parent span is ``by_policy``, and its smoke test
-        pins that count (``records_read_per_record_updated``).
+        The walk lists the regular ``*.json`` files itself and, inside this
+        call, reads every record of each segment as indexed when it gets
+        there: the served benchmark counts each ``get`` under ``by_policy``
+        as a scan read, and pins that count. Only the policy's own segment
+        fails the walk, when it is damaged (records may lie past the
+        damage) or a record of it fails ``get``; another segment that
+        cannot be indexed, or whose record fails, is skipped from there on.
         """
-        for record_id in self.ids():
-            record = self.get(record_id)
-            if record.policy_name == policy_name:
-                visit(record)
+        own = _stem(policy_name)
+        try:
+            with os.scandir(self._root) as found:
+                stems = sorted(entry.name.removesuffix(".json") for entry in found
+                               if entry.name.endswith(".json") and entry.is_file())
+        except OSError as exc:
+            raise StoreFailure(f"read of {self._root} failed: {exc}") from exc
+        for stem in stems:
+            try:
+                with self._lock:
+                    segment = self._refresh(stem)
+                    ids = sorted(segment.entries)
+                if segment.damage is not None:
+                    raise StoreFailure(segment.damage)
+                for record_id in ids:
+                    record = self.get(record_id)
+                    if stem == own:
+                        visit(record)
+            except (StoreFailure, NotFound):
+                if stem == own:
+                    raise
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +617,7 @@ class PolicyStore:
         self._root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, name: str) -> Path:
-        return self._root / _file_name(name)
+        return self._root / (_stem(name) + ".json")
 
     def define(self, name: str, layers: list[str], clock: LogicalClock) -> PolicyRecord:
         with _exclusive(self._root / ".define.lock"):
@@ -665,7 +659,7 @@ class PolicyStore:
 
     def names(self) -> list[str]:
         """Every defined policy, sorted: each regular file whose name is
-        the one ``_file_name`` gives for the name it decodes to."""
+        the one ``_stem`` gives for the name it decodes to, plus ``.json``."""
         out = []
         for path in self._root.glob("*.json"):
             padded = path.stem + "=" * (-len(path.stem) % 4)
@@ -673,7 +667,7 @@ class PolicyStore:
                 name = base64.urlsafe_b64decode(padded).decode("utf-8")
             except ValueError:
                 continue
-            if _file_name(name) == path.name and path.is_file():
+            if _stem(name) == path.stem and path.is_file():
                 out.append(name)
         return sorted(out)
 

@@ -8,7 +8,9 @@ import itertools
 import json
 import random
 import struct
+from pathlib import Path
 
+from mlabe.exchange.transport import decode_frame
 from mlabe.hashing import counter_rng as make_rng  # noqa: F401  (re-exported)
 from mlabe.policy import AccessPolicy, And, Cmp, Leaf, Node, Or
 
@@ -199,3 +201,14 @@ def segment_entries(data: bytes) -> list[bytes]:
         bodies.append(data[offset + 4:offset + 4 + length])
         offset += 4 + length
     return bodies
+
+
+def stored_ids(directory: str | Path) -> list[str]:
+    """Every record id in the segments of a record directory, sorted: the
+    ids that the headers of the whole entries of its regular ``*.json``
+    files name, read without a record store."""
+    ids = set()
+    for path in Path(directory).glob("*.json"):
+        if path.is_file():
+            ids.update(decode_frame(body)["id"] for body in segment_entries(path.read_bytes()))
+    return sorted(ids)

@@ -21,7 +21,7 @@ from contextlib import ExitStack
 
 import pytest
 
-from support import frames_contain_secret, make_rng, segment, segment_entries
+from support import frames_contain_secret, make_rng, segment, segment_entries, stored_ids
 
 from mlabe.abe import MasterPublicKey
 from mlabe.containers import HybridCiphertext
@@ -301,11 +301,11 @@ class TestPublish:
             b"data", parse_policy("(Staff)")))
         layered = HybridCiphertext(ct_aes=ct1.ct_aes, ct_abe=add_layers(
             deployment.mpk, ct1.ct_abe, [parse_policy("(C)")]))
-        before = deployment.ct_store.ids()
+        before = stored_ids(deployment.data_dir / "ct")
         with pytest.raises(MalformedCiphertext, match="zero layers"):
             deployment.client("internal").request(
                 "POST /publish", {"ct1": layered.to_bytes(), "policy_name": "vc"})
-        assert deployment.ct_store.ids() == before
+        assert stored_ids(deployment.data_dir / "ct") == before
         deployment.client("admin", caller="admin").request(
             "POST /policy", {"name": "vc", "layers": ["(Boss)"]})
         assert deployment.policy_store.get("vc").version == 2
@@ -482,7 +482,7 @@ class TestPolicyUpdate:
             owner.publish(b"record %d" % i, parse_policy("(Staff)"), "vc",
                           deployment.client("internal"))
         deployment.admin.update_policy("admin", "vc", ["(Boss)"])
-        before = {i: deployment.ct_store.get(i) for i in deployment.ct_store.ids()}
+        before = {i: deployment.ct_store.get(i) for i in stored_ids(deployment.data_dir / "ct")}
         ct_dir = deployment.data_dir / "ct"
         files_before = {p.name: (p.stat().st_ino, p.read_bytes()) for p in ct_dir.iterdir()}
 
@@ -504,7 +504,7 @@ class TestPolicyUpdate:
         for i in range(3):
             owner.publish(b"record %d" % i, parse_policy("(Staff)"), "vc",
                           deployment.client("internal"))
-        ids = deployment.ct_store.ids()
+        ids = stored_ids(deployment.data_dir / "ct")
 
         real_update = deployment.ct_store.update
         calls: list[str] = []
@@ -561,7 +561,7 @@ class TestPolicyUpdate:
 
         self._publish_under_vc_and_other(deployment, 3, 16)
         store = deployment.ct_store
-        all_ids = store.ids()
+        all_ids = stored_ids(deployment.data_dir / "ct")
         second_vc = [i for i in all_ids if store.get(i).policy_name == "vc"][1]
         events: list[tuple[str, str | None]] = []
         real_get, real_update = store.get, services.update_outer_layers
@@ -592,7 +592,7 @@ class TestPolicyUpdate:
             owner.publish(b"record %d" % i, parse_policy("(Staff)"), "vc",
                           deployment.client("internal"))
         deployment.policy_store.define("vc", ["(Boss)"], deployment.clock)
-        return deployment.ct_store.ids()
+        return stored_ids(deployment.data_dir / "ct")
 
     def test_pass_fsyncs_one_file_and_the_directory_and_leaves_no_temp_files(
             self, deployment, monkeypatch):
@@ -854,6 +854,46 @@ class TestDamagedStoreFiles:
             deployment.client("admin", caller="admin").request(
                 "POST /policy", {"name": "vc", "layers": ["(Boss)"]})
 
+    def test_damage_of_two_policies_stops_only_their_own_updates(self, deployment):
+        """An unreadable entry appended to vc's segment and one flipped
+        container byte in a record of third stop neither an update of
+        another policy nor its pass: its records read at the new version,
+        the key the update revoked is refused on each, and the current key
+        decrypts them. Updates of vc and of third raise."""
+        admin = deployment.client("admin", caller="admin")
+        for name in ("other", "third"):
+            admin.request("POST /policy", {"name": name, "layers": ["(Staff)"]})
+        owner, client = DataOwner(deployment.mpk, make_rng("do")), deployment.client("internal")
+        plaintexts = {}
+        for name in ("vc", "other", "third"):
+            for i in range(2):
+                plaintext = b"%s %d" % (name.encode(), i)
+                plaintexts[owner.publish(plaintext, parse_policy("(Mechanic)"), name, client)] \
+                    = plaintext
+        ids = sorted(i for i in plaintexts if i.startswith(storage._stem("other") + "."))
+        ct_dir = deployment.data_dir / "ct"
+        with open(ct_dir / f"{storage._stem('vc')}.json", "ab") as handle:
+            handle.write(segment(b"\0\0\0\xffnot a header"))
+        third = ct_dir / f"{storage._stem('third')}.json"
+        data = bytearray(third.read_bytes())
+        data[-1] ^= 0x01  # the last byte of the last entry's container
+        third.write_bytes(bytes(data))
+        key_old = deployment.issue_key("alice", ["Mechanic", "Staff"])
+
+        assert admin.request("POST /policy/update", {"name": "other", "layers": ["(Boss)"]}) \
+            == {"version": 2, "updated": ids}
+        key_new = deployment.issue_key("alice", ["Mechanic", "Staff", "Boss"])
+        for record_id in ids:
+            assert deployment.ct_store.get(record_id).policy_version == 2
+            with pytest.raises(PolicyUnsatisfied):
+                Consumer(deployment.mpk, key_old).fetch_and_decrypt(
+                    record_id, deployment.client("external"))
+            assert Consumer(deployment.mpk, key_new).fetch_and_decrypt(
+                record_id, deployment.client("external")) == plaintexts[record_id]
+        for name in ("vc", "third"):
+            with pytest.raises(StoreFailure):
+                admin.request("POST /policy/update", {"name": name, "layers": ["(Boss)"]})
+
     def test_policy_copied_over_another_refuses_a_publish(self, deployment):
         policies = deployment.data_dir / "policies"
         (vc_path,) = policies.glob("*.json")
@@ -870,7 +910,7 @@ class TestDamagedStoreFiles:
         """A directory at a policy's path is no policy: a publish under that
         name raises StoreFailure naming the path, and a publish under
         another policy still works."""
-        bad = deployment.data_dir / "policies" / storage._file_name("bad")
+        bad = deployment.data_dir / "policies" / f"{storage._stem('bad')}.json"
         bad.mkdir()
         owner = DataOwner(deployment.mpk, make_rng("do"))
         client = deployment.client("internal")
@@ -881,8 +921,8 @@ class TestDamagedStoreFiles:
 
     def test_directory_named_like_a_segment_is_skipped(self, deployment):
         """A directory under ``ct/`` whose name ends in ``.json`` is no
-        segment: a fresh deployment still serves the stored records, and a
-        fetch of an id that names it misses."""
+        segment: a fresh deployment still serves the stored records and
+        passes over them, and a fetch of an id that names it misses."""
         owner = DataOwner(deployment.mpk, make_rng("do"))
         record_id = owner.publish(b"data", parse_policy("(Staff)"), "vc",
                                   deployment.client("internal"))
@@ -891,7 +931,9 @@ class TestDamagedStoreFiles:
         key = reopened.issue_key("alice", ["Mechanic", "Staff", "Boss"])
         assert Consumer(reopened.mpk, key).fetch_and_decrypt(
             record_id, reopened.client("external")) == b"data"
-        assert reopened.ct_store.ids() == [record_id]
+        visited: list[str] = []
+        reopened.ct_store.by_policy("vc", lambda record: visited.append(record.id))
+        assert visited == [record_id]
         with pytest.raises(NotFound):
             reopened.client("external").request("GET /ct/{id}", {"id": "bogus." + "ab" * 32})
 

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from support import segment, segment_entries
+from support import segment, segment_entries, stored_ids
 
 from mlabe.errors import NotFound, StoreFailure
 from mlabe.exchange import storage
@@ -33,11 +33,6 @@ from mlabe.exchange.storage import (
 from mlabe.exchange.transport import decode_frame, encode_frame
 
 
-def _stem(policy_name: str) -> str:
-    """The stem of a policy's segment, which starts each of its record ids."""
-    return storage._file_name(policy_name).removesuffix(".json")
-
-
 def _replace(path, data: bytes) -> None:
     """Put `data` at `path` as a new file, as a pass's rename does."""
     tmp = path.with_name(path.name + ".new")
@@ -51,7 +46,7 @@ class TestCtStore:
         clock = ManualClock(100)
         record = store.put_new(b"ciphertext-bytes", 2, "vc", 1, clock)
         stem, _, digest = record.id.partition(".")
-        assert (stem, digest) == (_stem("vc"), content_id(b"ciphertext-bytes"))
+        assert (stem, digest) == (storage._stem("vc"), content_id(b"ciphertext-bytes"))
         fetched = store.get(record.id)
         assert fetched.ct == b"ciphertext-bytes"
         assert fetched.content_digest == digest
@@ -91,8 +86,8 @@ class TestCtStore:
     def test_record_in_the_old_json_layout_is_refused(self, tmp_path):
         """A record file written before records became frame bodies, one
         JSON object with the container as base64, is refused, not
-        migrated, by a fetch of an id whose stem names the file and by the
-        listing of every record."""
+        migrated, by a fetch of an id whose stem names the file; a pass on
+        another policy skips it."""
         store = CtStore(tmp_path)
         ct = b"stored under the earlier layout"
         digest = content_id(ct)
@@ -103,14 +98,16 @@ class TestCtStore:
             % (digest.encode(), digest.encode(), base64.b64encode(ct)))
         with pytest.raises(StoreFailure, match="earlier layout"):
             store.get(f"{digest}.{digest}")
-        with pytest.raises(StoreFailure, match="earlier layout"):
-            CtStore(tmp_path).ids()
+        healthy = store.put_new(b"healthy", 0, "other", 1, ManualClock())
+        visited: list[CtRecord] = []
+        CtStore(tmp_path).by_policy("other", visited.append)
+        assert visited == [healthy]
 
     def test_record_in_the_per_record_layout_is_refused(self, tmp_path):
         """A record file left from the layout of one file per record, a
         bare frame body, is refused by a fetch of an id whose stem names
-        the file and by the listing of every record; a publish, which
-        touches only its own policy's segment, still lands."""
+        the file; a publish, which touches only its own policy's segment,
+        still lands, and a pass on that policy skips the refused file."""
         record = CtRecord(id=content_id(b"old"), ct=b"old", n_layers=0, created_at=7,
                           updated_at=7, policy_name="vc", policy_version=1,
                           content_digest=content_id(b"old"))
@@ -120,8 +117,9 @@ class TestCtStore:
             store.get(f"{record.id}.{record.id}")
         published = store.put_new(b"new", 0, "vc", 1, ManualClock())
         assert CtStore(tmp_path).get(published.id) == published
-        with pytest.raises(StoreFailure, match="earlier layout"):
-            store.ids()
+        visited: list[CtRecord] = []
+        store.by_policy("vc", visited.append)
+        assert visited == [published]
 
     def test_corruption_detected(self, tmp_path):
         """One flipped byte inside the container's section of a segment
@@ -237,7 +235,9 @@ class TestSegments:
         torn = segment(dataclasses.replace(first, id="ab" * 32).to_bytes())[:-7]
         with open(path, "ab") as handle:
             handle.write(torn if tail == "cut-entry" else bytes(12))
-        assert CtStore(tmp_path).ids() == [first.id]
+        visited: list[CtRecord] = []
+        CtStore(tmp_path).by_policy("vc", visited.append)
+        assert visited == [first]
         assert store.get(first.id) == first
         second = CtStore(tmp_path).put_new(b"second", 0, "vc", 1, clock)
         assert path.read_bytes() == whole + segment(second.to_bytes())
@@ -267,23 +267,27 @@ class TestSegments:
                 content_digest=content_id(b"behind v2")).to_bytes()])
         for reader in (store, CtStore(tmp_path)):
             assert reader.get(twice.id) == twice
-            assert reader.ids() == sorted([behind.id, twice.id])
+        assert stored_ids(tmp_path) == sorted([behind.id, twice.id])
 
     def test_entry_naming_another_policy_is_refused(self, tmp_path):
         """An entry copied into the segment of another policy than the one
-        its header names makes reads of that segment raise."""
+        its header names makes reads of that segment and passes of its
+        policy raise; a pass on the other policy still succeeds."""
         clock = ManualClock()
         store = CtStore(tmp_path)
         mine = store.put_new(b"mine", 0, "vc", 1, clock)
         other = store.put_new(b"other", 0, "other", 1, clock)
-        mine_path = tmp_path / storage._file_name("vc")
+        mine_path = tmp_path / f"{storage._stem('vc')}.json"
         with open(mine_path, "ab") as handle:
             handle.write(segment(other.to_bytes()))
         for reader in (store, CtStore(tmp_path)):
             with pytest.raises(StoreFailure, match=f"record {other.id} corrupt.*names policy 'other'"):
                 reader.get(mine.id)
         with pytest.raises(StoreFailure, match="names policy 'other'"):
-            CtStore(tmp_path).ids()
+            CtStore(tmp_path).by_policy("vc", lambda record: None)
+        visited: list[CtRecord] = []
+        CtStore(tmp_path).by_policy("other", visited.append)
+        assert visited == [other]
 
     def test_publishes_and_passes_through_two_stores_lose_nothing(self, tmp_path):
         """Four threads publish through two stores on one directory while
@@ -336,8 +340,8 @@ class TestSegments:
         ids = sorted(i for ids in published for i in ids)
         (path,) = tmp_path.glob("*.json")
         assert len(segment_entries(path.read_bytes())) == len(ids) == 80
+        assert stored_ids(tmp_path) == ids
         for reader in stores + [CtStore(tmp_path)]:
-            assert reader.ids() == ids
             for k, i in ((k, i) for k in range(4) for i in range(20)):
                 record = reader.get(published[k][i])
                 assert (record.ct, record.policy_version) == (b"%d-%d v2" % (k, i), 2)
@@ -361,7 +365,7 @@ class TestSegments:
         for reader in (store, CtStore(tmp_path)):
             assert [reader.get(records[name].id).policy_version
                     for name in ("vc", "other")] == [2, 3]
-            assert reader.ids() == sorted(record.id for record in records.values())
+        assert stored_ids(tmp_path) == sorted(record.id for record in records.values())
 
     def test_racing_publishes_of_one_container_under_two_policies_both_land(
             self, tmp_path, monkeypatch):
@@ -397,7 +401,7 @@ class TestSegments:
         fresh = CtStore(tmp_path)
         assert [fresh.get(o.id) for o in outcomes] == outcomes
         assert {o.policy_name for o in outcomes} == {"vc", "other"}
-        assert fresh.ids() == sorted(o.id for o in outcomes)
+        assert stored_ids(tmp_path) == sorted(o.id for o in outcomes)
 
     def test_publishes_under_two_policies_racing_a_pass_all_land(self, tmp_path):
         """Two stores publish one container under two policies, record after
@@ -449,22 +453,74 @@ class TestSegments:
         assert [fresh.get(r.id) for r in published] == published
         assert [(fresh.get(r.id).ct, fresh.get(r.id).policy_version) for r in behind] \
             == [(r.ct + b" v2", 2) for r in behind]
-        assert fresh.ids() == sorted(r.id for r in behind + published)
+        assert stored_ids(tmp_path) == sorted(r.id for r in behind + published)
         visited: list[CtRecord] = []
         fresh.by_policy("vc", visited.append)
         assert len(visited) == 18 and {r.policy_version for r in visited} == {2}
 
+    def test_passes_on_one_policy_while_a_publish_grows_another(self, tmp_path):
+        """One thread runs 50 passes on one policy through a store while
+        another publishes to a second policy through the same store, so the
+        store's index of that segment grows while the walk takes its
+        snapshots: nothing raises, and every record reads at its policy's
+        last version."""
+        clock = ManualClock()
+        store = CtStore(tmp_path)
+        kept = [store.put_new(b"other %d" % i, 0, "other", 1, clock) for i in range(4)]
+        published: list[CtRecord] = []
+        errors: list[Exception] = []
+        start, done = threading.Barrier(2, timeout=10), threading.Event()
+
+        def run_passes():
+            try:
+                start.wait()
+                for version in range(2, 52):
+                    with store.pass_lock() as group:
+                        store.by_policy("other", lambda record: store.update(
+                            group, record, record.ct, 0, version, clock))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def publish():
+            try:
+                start.wait()
+                while not done.is_set():
+                    published.append(store.put_new(b"vc %d" % len(published), 0, "vc", 1, clock))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run_passes), threading.Thread(target=publish)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert published
+        for reader in (store, CtStore(tmp_path)):
+            assert [(reader.get(r.id).ct, reader.get(r.id).policy_version) for r in kept] \
+                == [(r.ct, 51) for r in kept]
+            assert [reader.get(r.id) for r in published] == published
+        assert stored_ids(tmp_path) == sorted(r.id for r in kept + published)
+
     def test_damaged_segment_leaves_other_policies_working(self, tmp_path):
         """An unreadable entry in one policy's segment makes reads of that
-        segment, publishes to it and listings raise, also a fetch of an id
-        unknown there, as the record may lie past the damage; another
-        policy's records still publish and fetch through a fresh store, and
-        an id unknown under it misses."""
+        segment, publishes to it and passes of its policy raise, also a
+        fetch of an id unknown there, as the record may lie past the damage;
+        another policy's records still publish, fetch and pass through a
+        fresh store, and an id unknown under it misses."""
         clock = ManualClock()
         store = CtStore(tmp_path)
         damaged = store.put_new(b"damaged", 0, "vc", 1, clock)
         healthy = store.put_new(b"healthy", 0, "other", 1, clock)
-        with open(tmp_path / storage._file_name("vc"), "ab") as handle:
+        with open(tmp_path / f"{storage._stem('vc')}.json", "ab") as handle:
             handle.write(segment(b"\0\0\0\xffnot a header"))
         for reader in (store, CtStore(tmp_path)):
             with pytest.raises(StoreFailure, match="corrupt at byte"):
@@ -472,11 +528,14 @@ class TestSegments:
             with pytest.raises(StoreFailure, match="corrupt at byte"):
                 reader.put_new(b"more", 0, "vc", 1, clock)
             with pytest.raises(StoreFailure, match="corrupt at byte"):
-                reader.ids()
+                reader.by_policy("vc", lambda record: None)
+            visited: list[CtRecord] = []
+            reader.by_policy("other", visited.append)
+            assert visited == [healthy]
             with pytest.raises(StoreFailure, match="corrupt at byte"):
-                reader.get(f"{_stem('vc')}.{'ab' * 32}")
+                reader.get(f"{storage._stem('vc')}.{'ab' * 32}")
             with pytest.raises(NotFound):
-                reader.get(f"{_stem('other')}.{'ab' * 32}")
+                reader.get(f"{storage._stem('other')}.{'ab' * 32}")
         fresh = CtStore(tmp_path)
         assert fresh.get(healthy.id) == healthy
         added = fresh.put_new(b"added", 0, "other", 1, clock)
@@ -492,7 +551,7 @@ class TestSegments:
         store = CtStore(tmp_path)
         mine = store.put_new(b"mine", 0, "vc", 1, clock)
         other = store.put_new(b"other", 0, "other", 1, clock)
-        with open(tmp_path / storage._file_name("vc"), "ab") as handle:
+        with open(tmp_path / f"{storage._stem('vc')}.json", "ab") as handle:
             handle.write(segment(dataclasses.replace(other, policy_name="vc").to_bytes()))
         fresh = CtStore(tmp_path)
         for reader in (store, fresh):
@@ -508,26 +567,30 @@ class TestSegments:
     def test_segment_of_bare_sha256_ids_is_refused_while_other_policies_work(self, tmp_path):
         """A segment written when a record id was the bare SHA-256 of its
         container is of an earlier layout, refused without migration by
-        reads of it; a bare id names no segment. Another policy publishes
-        and fetches."""
+        reads of it and passes of its policy; a bare id names no segment.
+        Another policy publishes, fetches and passes."""
         clock = ManualClock()
         old = [CtRecord(id=content_id(ct), ct=ct, n_layers=0, created_at=7, updated_at=7,
                         policy_name="vc", policy_version=1, content_digest=content_id(ct))
                for ct in (b"first", b"second")]
-        (tmp_path / storage._file_name("vc")).write_bytes(segment(*(r.to_bytes() for r in old)))
+        (tmp_path / f"{storage._stem('vc')}.json").write_bytes(
+            segment(*(r.to_bytes() for r in old)))
         store = CtStore(tmp_path)
         healthy = store.put_new(b"healthy", 0, "other", 1, clock)
         for reader in (store, CtStore(tmp_path)):
             for record in old:
                 with pytest.raises(StoreFailure, match="earlier layout"):
-                    reader.get(f"{_stem('vc')}.{record.id}")
+                    reader.get(f"{storage._stem('vc')}.{record.id}")
                 with pytest.raises(NotFound):
                     reader.get(record.id)
             with pytest.raises(StoreFailure, match="earlier layout"):
                 reader.put_new(b"new", 0, "vc", 1, clock)
             assert reader.get(healthy.id) == healthy
-        with pytest.raises(StoreFailure, match="earlier layout"):
-            CtStore(tmp_path).ids()
+            with pytest.raises(StoreFailure, match="earlier layout"):
+                reader.by_policy("vc", lambda record: None)
+            visited: list[CtRecord] = []
+            reader.by_policy("other", visited.append)
+            assert visited == [healthy]
 
     def test_fetch_of_an_unknown_id_among_fifty_segments_scans_nothing(
             self, tmp_path, monkeypatch):
@@ -552,11 +615,11 @@ class TestSegments:
         monkeypatch.setattr(os, "open", counting_open)
         for reader in (CtStore(tmp_path), CtStore(tmp_path)):
             with pytest.raises(NotFound):
-                reader.get(f"{_stem('vc-7')}.{'ab' * 32}")
+                reader.get(f"{storage._stem('vc-7')}.{'ab' * 32}")
             assert "scandir" not in calls
             calls.clear()
             with pytest.raises(NotFound):
-                reader.get(f"{_stem('vc-50')}.{'ab' * 32}")
+                reader.get(f"{storage._stem('vc-50')}.{'ab' * 32}")
             assert calls == []
 
     def test_publish_lists_no_directory_and_takes_no_directory_lock(
@@ -580,7 +643,7 @@ class TestSegments:
         monkeypatch.undo()
         assert scans == []
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            storage._file_name(name) for name in ("vc-a", "vc-b", "vc-c"))
+            f"{storage._stem(name)}.json" for name in ("vc-a", "vc-b", "vc-c"))
         assert [CtStore(tmp_path).get(r.id) for r in records] == records
 
     def test_index_survives_passes_that_reuse_an_inode(self, tmp_path):
@@ -824,7 +887,7 @@ class TestPolicyStore:
         not the file name of any policy, are no policies."""
         store = PolicyStore(tmp_path)
         store.define("vc", ["(A)"], ManualClock())
-        (tmp_path / storage._file_name("bad")).mkdir()
+        (tmp_path / f"{storage._stem('bad')}.json").mkdir()
         (tmp_path / "!!.json").write_bytes(b"{}")
         assert store.names() == ["vc"]
 
