@@ -25,7 +25,10 @@ Every stored (updatable) layer policy is augmented to
 ``(AP_i OR ENGINE_UPDATE)`` and the authority issues the internal engine
 a key carrying exactly the ENGINE_UPDATE attribute; that is what lets the
 engine peel stale layers during an update while remaining unable to open
-the producer's base layer.
+the producer's base layer. The engine also remembers, in memory only,
+the base encapsulation of each record it published or fully peeled (at
+most ``BASE_MEMO_SIZE``), so a pass that replaces every layer of a record
+adds the new ones to that base without peeling the old.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from ..abe import (
     public_key,
     setup,
 )
-from ..containers import HybridCiphertext
+from ..containers import HybridCiphertext, LayeredAbeCiphertext
 from ..errors import MalformedCiphertext, StoreFailure, Unauthorized
 from ..hybrid import hybrid_encrypt
 from ..multilayer import (
@@ -58,6 +61,7 @@ from ..multilayer import (
     add_layers,
     augment_for_engine,
     layered_decrypt,
+    peel_layers,
     update_outer_layers,
 )
 from ..policy import (
@@ -81,6 +85,7 @@ from .storage import (
 from .transport import LocalClient, ServiceClient, ServiceServer, TransportTap
 
 ENGINE_REQUESTER_ID = "internal-ct-engine"
+BASE_MEMO_SIZE = 4096  # most base encapsulations one InternalCtEngine keeps
 
 _SCRYPT_N = 2**14
 _SCRYPT_R = 8
@@ -201,6 +206,18 @@ class InternalCtEngine:
     later pass sees what an earlier one wrote, and running a pass again
     is harmless. A policy definition, a retried notification and a
     publish that raced an update all converge through it.
+
+    The engine keeps a map from record id to that record's base
+    encapsulation, the producer's ``AbeCiphertext`` container, filled by
+    ``publish`` and by a pass's full peel of a record. An entry never goes
+    stale: the id is the digest of the container at publication, which
+    fixes the base, and nothing changes a base. The map holds at most
+    ``BASE_MEMO_SIZE`` entries and is emptied when full; a lost entry
+    costs one peel. It lives in this object only: it is never written,
+    sent, logged or put in an error, and the engine key cannot open what
+    it holds. A pass from it does not authenticate the old layers, but
+    ``ct_aes`` still comes from the stored record, so a record swapped
+    under its id for one with another base fails the consumer's checks.
     """
 
     def __init__(self, ct_store: CtStore, policy_store: PolicyStore,
@@ -211,6 +228,13 @@ class InternalCtEngine:
         self._mpk = mpk
         self._engine_key = engine_key
         self._clock = clock
+        self._bases: dict[str, bytes] = {}
+
+    def _remember_base(self, record_id: str, base: bytes) -> None:
+        """Keep a standalone copy, so no entry pins a request frame."""
+        if len(self._bases) >= BASE_MEMO_SIZE:
+            self._bases.clear()
+        self._bases[record_id] = bytes(base)
 
     def _stored_layer_policies(self, record_name: str) -> tuple[list[AccessPolicy], int]:
         record = self._policy_store.get(record_name)
@@ -232,6 +256,7 @@ class InternalCtEngine:
         ct2 = HybridCiphertext(ct_aes=ct1.ct_aes, ct_abe=layered)
         record = self._ct_store.put_new(
             ct2.to_bytes(), ct2.n_layers, policy_name, version, self._clock)
+        self._remember_base(record.id, ct1.ct_abe.body)
         if self._policy_store.get(policy_name).version != version:
             self.on_policy_update(policy_name)
             record = self._ct_store.get(record.id)
@@ -244,6 +269,9 @@ class InternalCtEngine:
         A record keeps its longest run of inner layers equal to the new
         ones and only the rest is replaced, with the bytes of a full
         re-layer; a record whose layers all match only takes the version.
+        A record that keeps no layer gets the new ones on its remembered
+        base, and its old layers are dropped unopened; a record whose base
+        the engine does not hold is peeled fully once, and its base kept.
 
         Each record is re-layered as the store's scan reads it, so the pass
         holds one record and its replacement at a time, not the whole
@@ -268,8 +296,16 @@ class InternalCtEngine:
                     if stored != text:
                         break
                     keep += 1
+                source = ct.ct_abe
+                if keep == 0:
+                    base = self._bases.get(record.id)
+                    if base is None:
+                        base = peel_layers(self._mpk, self._engine_key,
+                                           source, source.n_layers).body
+                        self._remember_base(record.id, base)
+                    source = LayeredAbeCiphertext(body=base)
                 relayered = update_outer_layers(
-                    self._mpk, self._engine_key, ct.ct_abe, keep=keep,
+                    self._mpk, self._engine_key, source, keep=keep,
                     new_policies=policies[keep:])
                 new_ct = HybridCiphertext(ct_aes=ct.ct_aes, ct_abe=relayered)
                 self._ct_store.update(group, record, new_ct.to_bytes(),

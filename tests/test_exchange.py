@@ -24,12 +24,13 @@ import pytest
 from support import frames_contain_secret, make_rng, segment, segment_entries, stored_ids
 
 from mlabe.abe import MasterPublicKey
-from mlabe.containers import HybridCiphertext
+from mlabe.containers import HybridCiphertext, LayeredAbeCiphertext
 from mlabe.errors import (
     ERROR_CLASSES,
     EngineUnreachable,
     ExchangeError,
     MalformedCiphertext,
+    MalformedLayer,
     NotFound,
     PolicySyntaxError,
     PolicyUnsatisfied,
@@ -47,7 +48,12 @@ from mlabe.exchange.transport import (
     decode_frame,
     encode_frame,
 )
-from mlabe.multilayer import add_layers, augment_for_engine, update_outer_layers
+from mlabe.multilayer import (
+    add_layers,
+    augment_for_engine,
+    peel_layers,
+    update_outer_layers,
+)
 from mlabe.policy import TIMESTAMP_ATTRIBUTE, parse_policy
 
 
@@ -761,34 +767,269 @@ class TestPolicyUpdate:
             monkeypatch.setattr(multilayer, name, counting)
         return calls
 
-    @pytest.mark.parametrize("layers, peeled, added", [
-        (["(Staff)", "(Boss)"], 1, 1),
-        (["(Boss)", "(Mechanic OR Boss)"], 2, 2),
-        (["(Staff)", "(Mechanic OR Boss)", "(Boss)"], 0, 1),
-        (["(Staff)"], 1, 0),
+    @staticmethod
+    def _full_relayer(deployment, ct: HybridCiphertext, layers: list[str]) -> bytes:
+        """The layered bytes of peeling every layer of ct and adding layers."""
+        return update_outer_layers(
+            deployment.mpk, deployment.internal._engine_key, ct.ct_abe, keep=0,
+            new_policies=[augment_for_engine(parse_policy(t)) for t in layers]).to_bytes()
+
+    @pytest.mark.parametrize("engine", ["warm", "cold"])
+    @pytest.mark.parametrize("layers, peeled_warm, peeled_cold, added", [
+        (["(Staff)", "(Boss)"], 1, 1, 1),
+        (["(Boss)", "(Mechanic OR Boss)"], 0, 2, 2),
+        (["(Staff)", "(Mechanic OR Boss)", "(Boss)"], 0, 0, 1),
+        (["(Staff)"], 1, 1, 0),
     ], ids=["outermost-replaced", "innermost-replaced", "layer-appended",
             "outermost-dropped"])
     def test_pass_replaces_only_the_layers_that_changed(
-            self, deployment, monkeypatch, layers, peeled, added):
+            self, deployment, monkeypatch, engine, layers, peeled_warm, peeled_cold, added):
         """A record keeps its longest run of matching inner layers: one
-        abe_decrypt per peeled layer, one abe_encrypt per added layer, and
-        the same bytes as peeling and re-adding every layer."""
+        abe_decrypt per changed layer peeled above it, one abe_encrypt per
+        added layer, and the same bytes as peeling and re-adding every
+        layer. A record that keeps no layer gets the new
+        ones on the base the engine remembers: the engine that published
+        it (warm) peels nothing, and an engine opened later on the same
+        directory (cold) peels every layer once, then no more."""
         owner = DataOwner(deployment.mpk, make_rng("do"))
         record_id = owner.publish(b"partly re-layered", parse_policy("(Mechanic)"),
                                   "vc", deployment.client("internal"))
         before = HybridCiphertext.from_bytes(deployment.ct_store.get(record_id).ct)
+        dep = deployment if engine == "warm" else self._second_deployment(deployment)
+        admin = dep.client("admin", caller="admin")
         calls = self._count_layer_crypto(monkeypatch)
-        result = deployment.client("admin", caller="admin").request(
-            "POST /policy", {"name": "vc", "layers": layers})
+        result = admin.request("POST /policy", {"name": "vc", "layers": layers})
         assert result == {"version": 2, "updated": [record_id]}
+        peeled = peeled_warm if engine == "warm" else peeled_cold
         assert calls == {"abe_decrypt": peeled, "abe_encrypt": added}
-        monkeypatch.undo()
-        full = update_outer_layers(
-            deployment.mpk, deployment.internal._engine_key, before.ct_abe, keep=0,
-            new_policies=[augment_for_engine(parse_policy(t)) for t in layers])
         after = HybridCiphertext.from_bytes(deployment.ct_store.get(record_id).ct)
-        assert after.ct_abe.to_bytes() == full.to_bytes()
+        assert after.ct_abe.to_bytes() == self._full_relayer(deployment, before, layers)
         assert after.ct_aes == before.ct_aes
+
+        # A second pass replacing every layer peels only on a cold engine
+        # whose first pass kept a layer, and so never reached the base.
+        remembered = engine == "warm" or peeled_cold == before.n_layers
+        calls.update(abe_decrypt=0, abe_encrypt=0)
+        assert admin.request("POST /policy", {"name": "vc", "layers": ["(Mechanic)"]}) \
+            == {"version": 3, "updated": [record_id]}
+        assert calls == {"abe_decrypt": 0 if remembered else len(layers), "abe_encrypt": 1}
+        monkeypatch.undo()
+        after = HybridCiphertext.from_bytes(deployment.ct_store.get(record_id).ct)
+        assert after.ct_abe.to_bytes() == self._full_relayer(deployment, before, ["(Mechanic)"])
+
+    def test_base_memo_holds_at_most_its_bound(self, deployment, monkeypatch):
+        """With room for two bases, three publishes leave at most two
+        remembered, each a standalone bytes object; a pass still re-layers
+        all three to the bytes of a full re-layer, peeling the misses."""
+        import mlabe.exchange.services as services
+
+        monkeypatch.setattr(services, "BASE_MEMO_SIZE", 2)
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        ids = sorted(owner.publish(b"record %d" % i, parse_policy("(Mechanic)"), "vc",
+                                   deployment.client("internal")) for i in range(3))
+        bases = deployment.internal._bases
+        assert 0 < len(bases) <= 2
+        assert all(type(base) is bytes for base in bases.values())
+        missed = [i for i in ids if i not in bases]
+        before = {i: HybridCiphertext.from_bytes(deployment.ct_store.get(i).ct) for i in ids}
+
+        calls = self._count_layer_crypto(monkeypatch)
+        layers = ["(Boss)", "(Mechanic)"]
+        assert deployment.admin.update_policy("admin", "vc", layers)["updated"] == ids
+        assert calls == {"abe_decrypt": 2 * len(missed), "abe_encrypt": 2 * len(ids)}
+        assert len(bases) <= 2
+        for record_id in ids:
+            after = HybridCiphertext.from_bytes(deployment.ct_store.get(record_id).ct)
+            assert after.ct_abe.to_bytes() \
+                == self._full_relayer(deployment, before[record_id], layers)
+
+    def test_remembered_base_rewrites_a_record_whose_outer_layer_is_damaged(
+            self, deployment):
+        """The one thing a remembered base changes: a pass replacing every
+        layer no longer opens the old ones. A record whose outermost layer
+        no longer authenticates, with its digest recomputed so reads accept
+        it, stops a cold engine's pass with MalformedLayer; the engine that
+        published it rewrites it from its base, after which the current
+        key decrypts it and the revoked key is refused."""
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        plaintext = b"damaged outer layer"
+        record_id = owner.publish(plaintext, parse_policy("(Mechanic)"), "vc",
+                                  deployment.client("internal"))
+        (path,) = (deployment.data_dir / "ct").glob("*.json")
+        (entry,) = segment_entries(path.read_bytes())
+        header = decode_frame(entry)
+        ct = HybridCiphertext.from_bytes(header["ct"])
+        body = bytearray(ct.ct_abe.body)
+        body[-1] ^= 0x01  # the outermost layer's AEAD tag
+        damaged = HybridCiphertext(ct_aes=ct.ct_aes, ct_abe=LayeredAbeCiphertext(
+            body=bytes(body), layer_policies=ct.ct_abe.layer_policies)).to_bytes()
+        path.write_bytes(segment(encode_frame(dict(
+            header, ct=damaged, content_digest=storage.content_id(damaged)))))
+        assert deployment.ct_store.get(record_id).ct == damaged
+
+        key_old = deployment.issue_key("alice", ["Mechanic", "Staff"])
+        cold = self._second_deployment(deployment)
+        with pytest.raises(MalformedLayer, match="failed authentication"):
+            cold.admin.update_policy("admin", "vc", ["(Boss)", "(Mechanic)"])
+        assert deployment.ct_store.get(record_id).policy_version == 1
+
+        assert deployment.internal.on_policy_update("vc") == [record_id]
+        assert deployment.ct_store.get(record_id).policy_version == 2
+        key_new = deployment.issue_key("alice", ["Mechanic", "Boss"])
+        assert Consumer(deployment.mpk, key_new).fetch_and_decrypt(
+            record_id, deployment.client("external")) == plaintext
+        with pytest.raises(PolicyUnsatisfied):
+            Consumer(deployment.mpk, key_old).fetch_and_decrypt(
+                record_id, deployment.client("external"))
+
+    def test_publishes_racing_a_full_replacement_pass_end_current(
+            self, deployment, monkeypatch):
+        """Two threads publish through the deployment while its pass
+        replaces every layer: each publish adds its layers under the old
+        version and appends after the pass read the segment, so its own
+        pass re-layers it from the base it remembered. Every record ends at
+        the new version with the bytes of a full re-layer, no layer is
+        peeled, and the revoked key is refused on each."""
+        import mlabe.exchange.services as services
+
+        owner = DataOwner(deployment.mpk, make_rng("do"))
+        client = deployment.client("internal")
+        stored: dict[str, bytes] = {}
+        real_put = deployment.ct_store.put_new
+        put_done = threading.Semaphore(0)
+
+        def recording_put(ct, *args):
+            record = real_put(ct, *args)
+            stored[record.id] = ct
+            if threading.current_thread() in publishers:
+                put_done.release()
+            return record
+        publishers: list[threading.Thread] = []
+        monkeypatch.setattr(deployment.ct_store, "put_new", recording_put)
+        plaintexts = {}
+        for i in range(3):
+            plaintext = b"published before %d" % i
+            plaintexts[owner.publish(plaintext, parse_policy("(Mechanic)"), "vc", client)] \
+                = plaintext
+
+        layered, pass_running = threading.Semaphore(0), threading.Event()
+        real_add, real_update = services.add_layers, services.update_outer_layers
+
+        def add_layers_waiting_for_the_pass(*args, **kwargs):
+            result = real_add(*args, **kwargs)
+            if threading.current_thread() in publishers:
+                layered.release()
+                assert pass_running.wait(timeout=10)
+            return result
+
+        def update_letting_publishes_land(*args, **kwargs):
+            if not pass_running.is_set():
+                pass_running.set()
+                for _ in publishers:
+                    assert put_done.acquire(timeout=10)
+            return real_update(*args, **kwargs)
+
+        racer_plaintexts = [b"raced %d" % i for i in range(2)]
+        errors: list[BaseException] = []
+
+        def publish(plaintext: bytes) -> None:
+            try:
+                plaintexts[DataOwner(deployment.mpk, make_rng(plaintext.decode())).publish(
+                    plaintext, parse_policy("(Mechanic)"), "vc", client)] = plaintext
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+        publishers.extend(threading.Thread(target=publish, args=(p,))
+                          for p in racer_plaintexts)
+        calls = self._count_layer_crypto(monkeypatch)
+        monkeypatch.setattr(services, "add_layers", add_layers_waiting_for_the_pass)
+        monkeypatch.setattr(services, "update_outer_layers", update_letting_publishes_land)
+        for thread in publishers:
+            thread.start()
+        for _ in publishers:
+            assert layered.acquire(timeout=10)
+        layers = ["(Boss)", "(Mechanic)"]
+        result = deployment.admin.update_policy("admin", "vc", layers)
+        for thread in publishers:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        monkeypatch.undo()
+        assert errors == []
+        assert result["version"] == 2 and len(result["updated"]) == 3
+        assert calls["abe_decrypt"] == 0  # every base was remembered
+        assert len(plaintexts) == 5 and sorted(plaintexts) == stored_ids(deployment.data_dir / "ct")
+
+        key_old = deployment.issue_key("alice", ["Mechanic", "Staff"])
+        key_new = deployment.issue_key("alice", ["Mechanic", "Boss"])
+        for record_id, plaintext in plaintexts.items():
+            record = deployment.ct_store.get(record_id)
+            assert record.policy_version == 2
+            after = HybridCiphertext.from_bytes(record.ct)
+            assert after.ct_abe.to_bytes() == self._full_relayer(
+                deployment, HybridCiphertext.from_bytes(stored[record_id]), layers)
+            with pytest.raises(PolicyUnsatisfied):
+                Consumer(deployment.mpk, key_old).fetch_and_decrypt(
+                    record_id, deployment.client("external"))
+            assert Consumer(deployment.mpk, key_new).fetch_and_decrypt(
+                record_id, deployment.client("external")) == plaintext
+
+    def test_threaded_publishes_and_full_replacement_passes_keep_every_base_true(
+            self, deployment, monkeypatch):
+        """Four threads publish while the main thread runs three passes
+        that replace every layer, with room for three bases and a short
+        switch interval, so the memo is filled, read and emptied from
+        several threads at once. A race may lose an entry but never makes
+        one wrong: every remembered base is the base of its record, and
+        every record ends at the last version with the bytes of a full
+        re-layer."""
+        import mlabe.exchange.services as services
+
+        monkeypatch.setattr(services, "BASE_MEMO_SIZE", 3)
+        client = deployment.client("internal")
+        originals: dict[str, bytes] = {}
+        real_put = deployment.ct_store.put_new
+
+        def recording_put(ct, *args):
+            record = real_put(ct, *args)
+            originals[record.id] = ct
+            return record
+        monkeypatch.setattr(deployment.ct_store, "put_new", recording_put)
+        errors: list[BaseException] = []
+
+        def publish(n: int) -> None:
+            owner = DataOwner(deployment.mpk, make_rng(f"stress {n}"))
+            try:
+                for i in range(3):
+                    owner.publish(b"stress %d %d" % (n, i), parse_policy("(Mechanic)"),
+                                  "vc", client)
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+        publishers = [threading.Thread(target=publish, args=(n,)) for n in range(4)]
+        versions = [["(Boss)"], ["(Staff)", "(Mechanic)"], ["(Mechanic OR Boss)"]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in publishers:
+                thread.start()
+            for layers in versions:
+                deployment.admin.update_policy("admin", "vc", layers)
+            for thread in publishers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        monkeypatch.undo()
+
+        assert len(originals) == 12
+        engine_key = deployment.internal._engine_key
+        for record_id, original in originals.items():
+            record = deployment.ct_store.get(record_id)
+            assert record.policy_version == 4
+            ct = HybridCiphertext.from_bytes(original)
+            assert HybridCiphertext.from_bytes(record.ct).ct_abe.to_bytes() \
+                == self._full_relayer(deployment, ct, versions[-1])
+            base = peel_layers(deployment.mpk, engine_key, ct.ct_abe, ct.n_layers).body
+            assert deployment.internal._bases.get(record_id, base) == base
 
     def test_redefinition_changing_no_layer_keeps_the_bytes(self, deployment, monkeypatch):
         owner = DataOwner(deployment.mpk, make_rng("do"))
@@ -1397,6 +1638,43 @@ class TestWire:
         assert not frames_contain_secret(stored, plaintext)
         assert not frames_contain_secret(stored, drawn[0])
 
+
+    def test_remembered_bases_stay_in_the_engine(self, deployment):
+        """Publish, run two passes and fetch over TCP: no base the internal
+        engine remembers occurs in any file under the data directory or in
+        any frame but the publish requests, which carry CT_1 by design."""
+        tap = TransportTap()
+        with deployment.serve(tap=tap) as served:
+            owner = DataOwner(deployment.mpk, make_rng("memo-producer"))
+            plaintexts = {owner.publish(b"remembered %d" % i, parse_policy("(Staff)"), "vc",
+                                        served.client("internal", caller="do1")):
+                          b"remembered %d" % i for i in range(2)}
+            admin = served.client("admin", caller="admin")
+            for layers in (["(Boss)", "(Mechanic)"], ["(Mechanic)"]):
+                assert admin.request("POST /policy/update", {"name": "vc", "layers": layers}
+                                     )["updated"] == sorted(plaintexts)
+            key = deployment.issue_key("alice", ["Mechanic", "Staff"])
+            for record_id, plaintext in plaintexts.items():
+                assert Consumer(deployment.mpk, key).fetch_and_decrypt(
+                    record_id, served.client("external", caller="alice")) == plaintext
+        bases = list(deployment.internal._bases.values())
+        assert len(bases) == 2
+
+        def is_publish_request(frame: bytes) -> bool:
+            try:
+                return decode_frame(frame).get("op") == "POST /publish"
+            except ValueError:
+                return False
+        frames = tap.frames()
+        publishes = [(d, f) for d, f in frames if is_publish_request(f)]
+        others = [(d, f) for d, f in frames if not is_publish_request(f)]
+        assert any(d == "external->" for d, _ in others)
+        files = [(str(path), path.read_bytes())
+                 for path in deployment.data_dir.rglob("*") if path.is_file()]
+        for base in bases:
+            assert frames_contain_secret(publishes, base)  # the scan sees it there
+            assert not frames_contain_secret(others, base)
+            assert not frames_contain_secret(files, base)
 
 @pytest.fixture()
 def counted_server(monkeypatch):
